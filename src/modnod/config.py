@@ -81,7 +81,10 @@ def spec_from_json(doc: dict, path: str = "model") -> NetworkSpec:
         saturation = Saturation.odd()
     elif variant == "shifted":
         _require("s" in sat_doc, f"{path}.saturation.s: required for the shifted variant")
-        saturation = Saturation.shifted(float(sat_doc["s"]))
+        try:
+            saturation = Saturation.shifted(float(sat_doc["s"]))
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"{path}.saturation.s: {exc}") from exc
     else:
         raise ValidationError(f"{path}.saturation.variant: unknown variant {variant!r}")
 

@@ -24,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    ModnodError,
     NewtonDiverged,
     NoBranchFound,
     NoStrictLeader,
@@ -457,7 +458,7 @@ def _classify_neutral_event(spec, u0_event):
         return None
     try:
         report = reduction.ls_derivatives(spec, max_entry_normalized(eig))
-    except Exception as exc:  # reduction failure leaves the event unclassified
+    except ModnodError as exc:  # reduction failure leaves the event unclassified
         log.debug("reduction failed at u0=%.6g: %s", u0_event, exc)
         return None
     return report

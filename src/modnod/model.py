@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import sys
 
 import numpy as np
 
@@ -34,6 +35,16 @@ __all__ = [
 ]
 
 
+#: beyond |z| = |s| + _SHIFT_CLIP the shifted S equals its limit to within
+#: 2 exp(-2 * _SHIFT_CLIP) ~ 1e-17 relative (below rounding) and S' is below
+#: that fraction of its peak, so z is clipped there, which keeps sinh and
+#: cosh finite for every z
+_SHIFT_CLIP = 20.0
+#: largest accepted |shift|: the largest intermediate of the shifted form,
+#: cosh(2|s| + _SHIFT_CLIP), is finite up to here (about 344.9)
+MAX_SHIFT = 0.5 * (math.log(sys.float_info.max) - _SHIFT_CLIP)
+
+
 @dataclass(frozen=True)
 class Saturation:
     """Saturating nonlinearity applied to the networked input.
@@ -44,6 +55,16 @@ class Saturation:
       options should be interchangeable.
     * ``shifted``  -- S(z) = (tanh(z - s) + tanh(s)) / (1 - tanh(s)^2);
       breaks odd symmetry but keeps S(0) = 0 and S'(0) = 1 for every s.
+
+    The shifted form is evaluated through the identity
+    tanh(z - s) + tanh(s) = sinh z / (cosh(z - s) cosh s), i.e.
+
+        S(z)  = sinh z * cosh s / cosh(z - s),
+        S'(z) = (cosh s / cosh(z - s))^2,
+
+    which has no cancellation.  The quotient form above loses every digit
+    once tanh(s) rounds to 1 (S = 0 at s = 18, NaN at s = 20).  Shifts with
+    |s| > MAX_SHIFT (about 344.9) are rejected; sup |S| = cosh(s) exp(|s|).
     """
 
     kind: str = "odd"
@@ -54,6 +75,9 @@ class Saturation:
             raise ValueError(f"unknown saturation kind {self.kind!r}")
         if not math.isfinite(self.shift):
             raise ValueError("saturation shift must be finite")
+        if abs(self.shift) > MAX_SHIFT:
+            raise ValueError(f"saturation shift |s| = {abs(self.shift):g} exceeds "
+                             f"{MAX_SHIFT:.4f}, where cosh overflows")
 
     @classmethod
     def odd(cls) -> "Saturation":
@@ -63,23 +87,26 @@ class Saturation:
     def shifted(cls, s: float) -> "Saturation":
         return cls("shifted", float(s))
 
+    def _clipped(self, z):
+        limit = abs(self.shift) + _SHIFT_CLIP
+        return np.minimum(np.maximum(z, -limit), limit)
+
     def __call__(self, z):
         if self.kind == "odd":
             return np.tanh(z)
-        s = self.shift
-        return (np.tanh(z - s) + np.tanh(s)) / (1.0 - np.tanh(s) ** 2)
+        z = self._clipped(z)
+        return math.cosh(self.shift) * np.sinh(z) / np.cosh(z - self.shift)
 
     def derivative(self, z):
         if self.kind == "odd":
             return 1.0 - np.tanh(z) ** 2
-        s = self.shift
-        return (1.0 - np.tanh(z - s) ** 2) / (1.0 - np.tanh(s) ** 2)
+        return (math.cosh(self.shift) / np.cosh(self._clipped(z) - self.shift)) ** 2
 
     def bound(self) -> float:
         """sup |S(z)| over the real line."""
         if self.kind == "odd":
             return 1.0
-        return 1.0 / (1.0 - abs(np.tanh(self.shift)))
+        return math.cosh(self.shift) * math.exp(abs(self.shift))
 
 
 def as_state(x, n: int) -> np.ndarray:

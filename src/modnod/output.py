@@ -15,6 +15,12 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _escape(text: str) -> str:
+    """Escape &, < and > for an XML text node (as xml.sax.saxutils.escape,
+    whose import pulls in urllib.request, http.client and ssl)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def branches_to_csv(branches, n_states: int) -> str:
     """One row per branch point plus one row per event (point_index -1).
 
@@ -140,7 +146,7 @@ def branches_to_svg(branches, projection, ylabel: str, timestamp: str | None = N
         f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 8}" font-size="13" '
         f'text-anchor="middle">u0</text>'
         f'<text x="14" y="{(_MT + _H - _MB) / 2:.0f}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.0f})">{ylabel}</text>'
+        f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.0f})">{_escape(ylabel)}</text>'
     )
 
     # branches: split into stable/unstable runs
@@ -171,7 +177,7 @@ def branches_to_svg(branches, projection, ylabel: str, timestamp: str | None = N
         first_u, first_v, _ = pts[0]
         out.append(
             f'<text x="{sx(first_u) + 4:.2f}" y="{sy(first_v) - 4:.2f}" '
-            f'font-size="10" fill="{color}">{label}</text>'
+            f'font-size="10" fill="{color}">{_escape(label)}</text>'
         )
 
     # event markers on top

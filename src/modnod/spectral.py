@@ -9,11 +9,12 @@ modulation coefficients, everything here reads only A and S'(0).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import math
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateLeader, NonConvergence, NoStrictLeader
+from .errors import DegenerateLeader, NonConvergence, NonFinite, NoStrictLeader
 from .model import NetworkSpec
 
 __all__ = [
@@ -171,13 +172,16 @@ def critical_attention(spec: NetworkSpec) -> float:
     ``1 / (S'(0) * lambda_max)``.
 
     Raises DegenerateLeader when lambda_max <= 0 (no opinion-forming
-    bifurcation at positive attention); propagates NoStrictLeader.
+    bifurcation at positive attention) and NonFinite when the value is not
+    a finite number; propagates NoStrictLeader.
     """
     eig = leading_eigenpair(spec)
     if eig.lambda_max <= 0:
         raise DegenerateLeader(
             f"leading eigenvalue {eig.lambda_max:.6g} is not positive"
         )
+    if not math.isfinite(eig.u0_star):
+        raise NonFinite(f"critical attention evaluated to {eig.u0_star!r}")
     return eig.u0_star
 
 

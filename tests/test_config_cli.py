@@ -1,4 +1,5 @@
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -76,6 +77,9 @@ def test_bad_order_and_tau_are_validation_errors():
         parse_config(json.dumps({"model": {"A": [[0, 1], [1, 0]], "n": 0}}))
     with pytest.raises(ValidationError):
         parse_config(json.dumps({"model": {"A": [[0, 1], [1, 0]], "tau": -1}}))
+    with pytest.raises(ValidationError, match="saturation.s"):
+        parse_config(json.dumps({"model": {"A": [[0, 1], [1, 0]],
+                                           "saturation": {"variant": "shifted", "s": 400}}}))
 
 
 def test_spec_json_round_trip_exact():
@@ -120,6 +124,10 @@ def test_cli_diagram_two_node(tmp_path):
     assert abs(float(tc.split(",")[2]) - 1.0) < 1e-6
     svg = (tmp_path / "diagram.svg").read_text()
     assert svg.startswith("<svg") and "generated" not in svg
+    # well-formed XML, with the default "<x, v_max>" axis label escaped
+    root = ElementTree.fromstring(svg)
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "<x, v_max>" in texts
 
 
 def test_cli_reduce_ring(tmp_path, capsys):
@@ -148,6 +156,19 @@ def test_cli_simulate_and_equilibrium(tmp_path):
     # simulate and equilibrium agree on the attractor
     final = [float(v) for v in lines[-1].split(",")[1:]]
     assert np.max(np.abs(np.array(final) - np.array(doc["x"]))) < 1e-6
+
+
+def test_cli_simulate_samples_the_step_grid(tmp_path):
+    # t = k * dt with no accumulated drift: t_end 50 at dt 0.01 is 5001 rows
+    cfg = write_config(tmp_path, {
+        "scenario": {"name": "two_node", "m_strength": 1.0, "n": 1},
+        "params": {"u0": 0.5, "x0": [0.1, -0.1], "t_end": 50.0},
+    })
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5001
+    times = np.array([float(row.split(",")[0]) for row in rows])
+    assert np.array_equal(times, 0.01 * np.arange(5001))
 
 
 def test_cli_determinism_byte_identical(tmp_path):

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from modnod import (
     Diverged,
+    ModnodError,
     NetworkSpec,
     NonFinite,
     NotSettled,
     Saturation,
     build_influencer_ring,
     build_two_node,
+    dynamics,
     integrate,
+    jacobian,
     leading_eigenpair,
     newton_equilibrium,
     settle,
@@ -114,3 +118,72 @@ def test_non_finite_initial_state_rejected():
     spec = build_two_node(0.0, 1)
     with pytest.raises(NonFinite):
         integrate(spec, np.array([np.nan, 0.0]), 1.0, 1.0)
+
+
+def test_settle_is_bit_identical_on_repeat():
+    spec = build_two_node(1.0, 1)
+    runs = [settle(spec, np.array([0.8, -0.8]), 0.95) for _ in range(2)]
+    assert np.array_equal(runs[0], runs[1])
+
+
+def test_settle_raises_on_a_field_that_turns_non_finite(monkeypatch):
+    # the field is NaN beyond x_1 = 0.5, on the way to the attractor at 1:
+    # rejected steps shrink until they underflow, and settle must raise
+    def field(spec, x, u0):
+        return np.full(x.shape, np.nan) if x[0] > 0.5 else 1.0 - x
+
+    monkeypatch.setattr(dynamics, "vector_field", field)
+    with pytest.raises(NonFinite):
+        settle(build_two_node(0.0, 1), np.zeros(2), 0.5)
+
+
+def test_settle_raises_on_a_non_finite_field_at_the_start(monkeypatch):
+    monkeypatch.setattr(dynamics, "vector_field", lambda spec, x, u0: np.full(x.shape, np.inf))
+    with pytest.raises(NonFinite):
+        settle(build_two_node(0.0, 1), np.zeros(2), 0.5)
+
+
+@st.composite
+def settle_cases(draw):
+    """A small random spec, attention and start; the start's basin is
+    checked by the test through a long fixed-step reference run."""
+    n = draw(st.integers(2, 4))
+    unit = st.floats(-1.0, 1.0)
+    A = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)))
+    index = st.integers(1, n)
+    triplets = draw(st.dictionaries(st.tuples(index, index, index), unit, max_size=3))
+    saturation = draw(st.one_of(st.just(Saturation.odd()),
+                                st.builds(Saturation.shifted, unit)))
+    spec = NetworkSpec(A=A.reshape(n, n), M=tuple((*k, w) for k, w in triplets.items()),
+                       order=draw(st.integers(1, 3)), saturation=saturation,
+                       b=np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))),
+                       tau=draw(st.sampled_from([0.5, 1.0])))
+    x0 = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    return spec, x0, draw(st.floats(0.1, 1.5))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(settle_cases())
+def test_settle_agrees_with_long_fixed_step_run(case):
+    """settle returns a finite state within 2 tol / sigma_min(J) of where a
+    long fixed-step RK4 run from the same start ends, or raises a typed
+    error; it never returns NaN."""
+    spec, x0, u0 = case
+    tol = 1e-8
+    try:
+        ref = integrate(spec, x0, u0, 100.0 * spec.tau, dt=0.05 * spec.tau).states[-1]
+    except ModnodError:
+        ref = None
+    # only starts whose reference run reached a stable equilibrium, to well
+    # within tol, are comparable
+    assume(ref is not None and np.linalg.norm(vector_field(spec, ref, u0)) < 1e-3 * tol)
+    J = jacobian(spec, ref, u0)
+    assume(np.max(np.linalg.eigvals(J).real) < 0)
+    try:
+        x = settle(spec, x0, u0, tol=tol)
+    except ModnodError:
+        return
+    assert np.all(np.isfinite(x))
+    sigma_min = np.linalg.svd(J, compute_uv=False)[-1]
+    assert np.linalg.norm(x - ref) <= 2.0 * tol / sigma_min

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ from modnod import (
     Saturation,
     build_influencer_ring,
     build_two_node,
+    critical_attention,
     inner_argument,
     jacobian,
     modulated_gains,
     vector_field,
 )
+from modnod.model import MAX_SHIFT
 
 
 def random_spec(rng, n_max=6, orders=(1, 2, 3)):
@@ -54,6 +58,31 @@ def test_saturation_derivative_matches_central_difference(sat):
     for z in rng.uniform(-3, 3, 20):
         fd = (sat(z + h) - sat(z - h)) / (2 * h)
         assert abs(sat.derivative(z) - fd) <= 1e-8 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("shift", [18.0, 20.0, -20.0])
+def test_large_shift_saturation_matches_closed_form(shift):
+    # tanh(z - s) + tanh(s) cancels to nothing once tanh(s) rounds to 1
+    # (S = 0 at s = 18, NaN at s = 20); the cosh form keeps every digit
+    sat = Saturation.shifted(shift)
+    for z in np.linspace(-30.0, 30.0, 241):
+        ref = math.sinh(z) * math.cosh(shift) / math.cosh(z - shift)
+        ref_d = (math.cosh(shift) / math.cosh(z - shift)) ** 2
+        assert abs(sat(z) - ref) <= 1e-13 * abs(ref)
+        assert abs(sat.derivative(z) - ref_d) <= 1e-13 * ref_d
+    assert sat(0.0) == 0.0
+    assert abs(sat.derivative(0.0) - 1.0) < 1e-15
+    assert sat.bound() == pytest.approx(math.cosh(shift) * math.exp(abs(shift)))
+    assert np.all(np.isfinite(sat(np.array([-1e6, -800.0, 800.0, 1e6]))))
+    spec = NetworkSpec(A=build_influencer_ring(0.5).A, saturation=sat)
+    assert critical_attention(spec) == pytest.approx(0.5, abs=1e-12)
+    assert np.all(np.isfinite(vector_field(spec, 0.1 * np.ones(5), 0.6)))
+
+
+def test_saturation_rejects_shift_beyond_max_shift():
+    assert math.isfinite(Saturation.shifted(MAX_SHIFT).bound())
+    with pytest.raises(ValueError):
+        Saturation.shifted(-1.001 * MAX_SHIFT)
 
 
 def test_saturation_rejects_unknown_kind():

@@ -5,6 +5,8 @@ from modnod import (
     DegenerateLeader,
     NetworkSpec,
     NoStrictLeader,
+    NonFinite,
+    Saturation,
     build_drive_steer,
     build_influencer_ring,
     build_two_node,
@@ -91,6 +93,12 @@ def test_critical_attention_values():
 def test_critical_attention_degenerate_leader():
     with pytest.raises(DegenerateLeader):
         critical_attention(NetworkSpec(A=-np.eye(2) + np.diag([0.0, -0.5])))
+
+
+def test_critical_attention_raises_on_non_finite_value(monkeypatch):
+    monkeypatch.setattr(Saturation, "derivative", lambda self, z: np.nan)
+    with pytest.raises(NonFinite):
+        critical_attention(build_two_node(1.0, 1))
 
 
 def test_critical_attention_ignores_modulation():
