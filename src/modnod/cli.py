@@ -97,14 +97,20 @@ def cmd_equilibrium(cfg: RunConfig, outdir: Path, args) -> int:
     return EXIT_OK
 
 
+#: params.step key -> (StepParams field, type); absent keys keep the default
+_STEP_KEYS = {
+    "initial": ("initial", float),
+    "min": ("min_step", float),
+    "max": ("max_step", float),
+    "max_points": ("max_points", int),
+}
+
+
 def _diagram_options(cfg: RunConfig) -> continuation.DiagramOptions:
     step_doc = cfg.params.get("step", {})
-    step = continuation.StepParams(
-        initial=float(step_doc.get("initial", 0.02)),
-        min_step=float(step_doc.get("min", 1e-5)),
-        max_step=float(step_doc.get("max", 0.1)),
-        max_points=int(step_doc.get("max_points", 2000)),
-    )
+    step = continuation.StepParams(**{
+        name: cast(step_doc[key]) for key, (name, cast) in _STEP_KEYS.items() if key in step_doc
+    })
     labeler = drive_steer_label if cfg.scenario == "drive_steer" else None
     return continuation.DiagramOptions(
         step=step,

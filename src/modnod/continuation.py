@@ -13,6 +13,12 @@ singular.  Steady-state bifurcations are located by monitoring the real
 Jacobian eigenvalue closest to zero between consecutive points and bisecting
 the bracketing segment; folds additionally reverse the u0 component of the
 branch tangent.
+
+Every corrector iterate takes one ``model.linearize`` (F, J and F_u0 from one
+build of the gains), and the corrector hands the converged point's J and
+F_u0 on: the tangent solve reuses them, and one ``eigvals`` of that J gives
+both the point's stability (leading eigenvalue) and its event test value,
+which event detection and bisection read instead of re-evaluating.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .errors import (
     SingularJacobian,
     StallError,
 )
-from .model import NetworkSpec, jacobian, vector_field
+from .model import NetworkSpec, linearize
 from .spectral import eigenpair_near, max_entry_normalized
 
 __all__ = [
@@ -90,6 +96,10 @@ class BranchPoint:
     leading_jac_eig: float
     stable: bool
     tangent: np.ndarray  # unit (N+1)-vector in (x, u0) space
+    #: event test function: the real Jacobian eigenvalue of smallest
+    #: magnitude, NaN when none is real; None when not evaluated (a point
+    #: built by hand), in which case detect_events evaluates it
+    test_eig: float | None = None
 
 
 @dataclass
@@ -100,7 +110,6 @@ class BifurcationEvent:
     eigenvalue: float = 0.0       # refined test-function value
     kernel: np.ndarray | None = None  # unit right null vector of J at the event
     detail: object | None = None  # reduction.LSReport for classified events
-    segment: int = -1             # index of the left bracketing branch point
 
 
 @dataclass
@@ -136,12 +145,11 @@ def newton_equilibrium(
     if not np.all(np.isfinite(x)):
         raise ValueError("x_guess contains non-finite entries")
 
-    res = vector_field(spec, x, u0)
+    res, jac, _ = linearize(spec, x, u0)
     rnorm = np.linalg.norm(res)
     for _ in range(max_iter):
         if rnorm < tol:
             return x
-        jac = jacobian(spec, x, u0)
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -151,10 +159,10 @@ def newton_equilibrium(
         damping = 1.0
         while damping >= 2.0 ** -30:
             trial = x + damping * step
-            trial_res = vector_field(spec, trial, u0)
+            trial_res, trial_jac, _ = linearize(spec, trial, u0)
             trial_norm = np.linalg.norm(trial_res)
             if np.isfinite(trial_norm) and trial_norm < rnorm:
-                x, res, rnorm = trial, trial_res, trial_norm
+                x, res, jac, rnorm = trial, trial_res, trial_jac, trial_norm
                 break
             damping *= 0.5
         else:
@@ -169,14 +177,6 @@ def newton_equilibrium(
     )
 
 
-def _field_u0_derivative(spec: NetworkSpec, x: np.ndarray, u0: float) -> np.ndarray:
-    # dF/du0 = S'(p) * (A x) / tau : u0 enters every gain additively
-    from .model import inner_argument  # local to avoid import cycle noise
-
-    p = inner_argument(spec, x, u0)
-    return spec.saturation.derivative(p) * (spec.A @ x) / spec.tau
-
-
 def _bordered_correct(
     spec: NetworkSpec,
     z0: np.ndarray,
@@ -185,20 +185,20 @@ def _bordered_correct(
     max_iter: int = 8,
 ):
     """Newton-correct z = (x, u0) onto the branch within the hyperplane
-    through z0 orthogonal to ``direction``.  Returns (z, iterations) or None.
+    through z0 orthogonal to ``direction``.  Returns (z, iterations, J, F_u0)
+    with the linearisation at the converged z, or None.
     """
     n = spec.N
     z = z0.copy()
     for it in range(max_iter + 1):
-        res = vector_field(spec, z[:n], z[n])
+        res, jac, f_u0 = linearize(spec, z[:n], z[n])
         if np.linalg.norm(res) < tol:
-            return z, it
+            return z, it, jac, f_u0
         if it == max_iter:
             return None
-        jac = jacobian(spec, z[:n], z[n])
         bordered = np.zeros((n + 1, n + 1))
         bordered[:n, :n] = jac
-        bordered[:n, n] = _field_u0_derivative(spec, z[:n], z[n])
+        bordered[:n, n] = f_u0
         bordered[n, :] = direction
         rhs = np.zeros(n + 1)
         rhs[:n] = -res
@@ -213,12 +213,13 @@ def _bordered_correct(
     return None
 
 
-def _tangent(spec: NetworkSpec, z: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """Unit tangent of the equilibrium curve at z, oriented along ``prev``."""
-    n = spec.N
+def _tangent(jac: np.ndarray, f_u0: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """Unit tangent of the equilibrium curve at a point with Jacobian ``jac``
+    and u0-derivative ``f_u0``, oriented along ``prev``."""
+    n = jac.shape[0]
     bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = jacobian(spec, z[:n], z[n])
-    bordered[:n, n] = _field_u0_derivative(spec, z[:n], z[n])
+    bordered[:n, :n] = jac
+    bordered[:n, n] = f_u0
     bordered[n, :] = prev
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
@@ -231,18 +232,23 @@ def _tangent(spec: NetworkSpec, z: np.ndarray, prev: np.ndarray) -> np.ndarray:
     return -t if t @ prev < 0 else t
 
 
-def _leading_eig(spec: NetworkSpec, x: np.ndarray, u0: float) -> float:
-    return float(np.max(np.linalg.eigvals(jacobian(spec, x, u0)).real))
-
-
-def _test_eigenvalue(spec: NetworkSpec, x: np.ndarray, u0: float) -> float:
-    """Real Jacobian eigenvalue of smallest magnitude (signed)."""
-    vals = np.linalg.eigvals(jacobian(spec, x, u0))
+def _test_value(vals: np.ndarray) -> float:
+    """Real eigenvalue of smallest magnitude (signed) among ``vals``, NaN
+    when none is real."""
     scale = max(1.0, float(np.max(np.abs(vals))))
     real = vals[np.abs(vals.imag) <= 1e-8 * scale].real
     if real.size == 0:
         return np.nan
     return float(real[np.argmin(np.abs(real))])
+
+
+def _branch_point(x: np.ndarray, u0: float, tangent: np.ndarray, jac: np.ndarray) -> BranchPoint:
+    """BranchPoint at an equilibrium with Jacobian ``jac``: one eigen-solve
+    gives both the leading eigenvalue and the event test value."""
+    vals = np.linalg.eigvals(jac)
+    lead = float(np.max(vals.real))
+    return BranchPoint(u0=float(u0), x=x, leading_jac_eig=lead, stable=lead < 0.0,
+                       tangent=tangent, test_eig=_test_value(vals))
 
 
 def branch_point_at(
@@ -253,16 +259,15 @@ def branch_point_at(
 ) -> BranchPoint:
     """Build a fully populated BranchPoint from a converged equilibrium."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    z = np.concatenate([x, [u0]])
+    _, jac, f_u0 = linearize(spec, x, u0)
     if tangent is None:
         seed = np.zeros(spec.N + 1)
         seed[-1] = 1.0
-        tangent = _tangent(spec, z, seed)
+        tangent = _tangent(jac, f_u0, seed)
     else:
         tangent = np.asarray(tangent, dtype=float)
         tangent = tangent / np.linalg.norm(tangent)
-    lead = _leading_eig(spec, x, u0)
-    return BranchPoint(u0=float(u0), x=x, leading_jac_eig=lead, stable=lead < 0.0, tangent=tangent)
+    return _branch_point(x, u0, tangent, jac)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +301,15 @@ def trace_branch(
     t = seed.tangent.copy()
     h = step.initial
     stalls = 0
-    trail = [z.copy()]
+    trail = np.empty((max(step.max_points, 1), n + 1))  # z of each point so far
+    trail[0] = z
 
     while len(branch.points) < step.max_points:
         z_pred = z + h * t
         result = _bordered_correct(spec, z_pred, t, max_iter=step.corrector_iters)
         accept = False
         if result is not None:
-            z_new, iters = result
+            z_new, iters, jac, f_u0 = result
             dist = np.linalg.norm(z_new - z)
             if dist <= step.max_step * (1.0 + 1e-9) and np.isfinite(dist):
                 accept = True
@@ -323,19 +329,20 @@ def trace_branch(
             boundary = lo if u0_new < lo else hi
             closed = _close_on_boundary(spec, z, z_new, boundary)
             if closed is not None:
-                t_new = _tangent(spec, closed, t)
+                x_b = closed[:n]
+                _, jac_b, f_u0_b = linearize(spec, x_b, boundary)
                 branch.points.append(
-                    branch_point_at(spec, closed[:n], closed[n], t_new)
+                    _branch_point(x_b, boundary, _tangent(jac_b, f_u0_b, t), jac_b)
                 )
             break
-        if _closes_loop(trail, z, z_new):
-            log.debug("loop closed near u0=%.6g after %d points", u0_new, len(trail))
+        if _closes_loop(trail[: len(branch.points)], z, z_new):
+            log.debug("loop closed near u0=%.6g after %d points", u0_new, len(branch.points))
             break
 
-        t = _tangent(spec, z_new, t)
+        t = _tangent(jac, f_u0, t)
         z = z_new
-        trail.append(z.copy())
-        branch.points.append(branch_point_at(spec, z[:n], z[n], t))
+        trail[len(branch.points)] = z
+        branch.points.append(_branch_point(z[:n], z[n], t, jac))
         if iters <= step.fast_iters:
             h = min(h * step.grow, step.max_step)
 
@@ -350,24 +357,28 @@ CLOSURE_TOL = 2e-3
 _CLOSURE_GAP = 10  # segments to skip right behind the current point
 
 
+def _polyline_distances(pts: np.ndarray, z: np.ndarray):
+    """Distance from z to each segment of the polyline through the rows of
+    ``pts``, and each segment's unit direction.  A zero-length segment
+    measures the distance to its point and has direction zero."""
+    a = pts[:-1]
+    d = pts[1:] - a
+    seg_len2 = np.einsum("ij,ij->i", d, d)
+    seg_len2[seg_len2 == 0] = 1.0
+    s = np.clip(np.einsum("ij,ij->i", z - a, d) / seg_len2, 0.0, 1.0)
+    dist = np.linalg.norm(a + s[:, None] * d - z, axis=1)
+    return dist, d / np.sqrt(seg_len2)[:, None]
+
+
 def _closes_loop(trail, z, z_new) -> bool:
     if len(trail) < _CLOSURE_GAP + 2:
         return False
-    pts = np.asarray(trail[: len(trail) - _CLOSURE_GAP])
-    a, b = pts[:-1], pts[1:]
-    d = b - a
-    seg_len2 = np.einsum("ij,ij->i", d, d)
-    seg_len2[seg_len2 == 0] = 1.0
-    s = np.clip(np.einsum("ij,ij->i", z_new - a, d) / seg_len2, 0.0, 1.0)
-    proj = a + s[:, None] * d
-    dist = np.linalg.norm(proj - z_new, axis=1)
     heading = z_new - z
     hn = np.linalg.norm(heading)
     if hn == 0:
         return False
-    heading = heading / hn
-    seg_dir = d / np.sqrt(seg_len2)[:, None]
-    same_way = seg_dir @ heading > 0.9
+    dist, seg_dir = _polyline_distances(trail[: len(trail) - _CLOSURE_GAP], z_new)
+    same_way = seg_dir @ (heading / hn) > 0.9
     return bool(np.any((dist <= CLOSURE_TOL) & same_way))
 
 
@@ -396,46 +407,47 @@ def _secant_point(spec, za, zb, s):
     d = zb - za
     norm = np.linalg.norm(d)
     if norm == 0:
-        return za.copy()
+        return za.copy(), linearize(spec, za[:-1], za[-1])[1]
     d = d / norm
     z0 = za + s * (zb - za)
     result = _bordered_correct(spec, z0, d, max_iter=12)
-    return None if result is None else result[0]
+    return None if result is None else (result[0], result[2])
 
 
 def _refine_event(spec, za, zb, fa, fb, max_iter: int = 30):
     """Bisect the segment [za, zb] on the near-zero real eigenvalue.
 
-    Returns (z, eig) with |eig| <= EVENT_EIG_TOL, or None when the sign
-    change does not correspond to an actual crossing (the smallest-magnitude
-    eigenvalue can change identity discontinuously along a branch).
+    Returns (z, eig, J) with |eig| <= EVENT_EIG_TOL and J the Jacobian at z,
+    or None when the sign change does not correspond to an actual crossing
+    (the smallest-magnitude eigenvalue can change identity discontinuously
+    along a branch).
     """
     sa, sb = 0.0, 1.0
-    z_best, f_best = None, np.inf
+    best = None  # (z, eig, J) with the smallest |eig| so far
     for _ in range(max_iter):
         sm = 0.5 * (sa + sb)
-        zm = _secant_point(spec, za, zb, sm)
-        if zm is None:
+        corrected = _secant_point(spec, za, zb, sm)
+        if corrected is None:
             return None
-        fm = _test_eigenvalue(spec, zm[:-1], zm[-1])
+        zm, jac = corrected
+        fm = _test_value(np.linalg.eigvals(jac))
         if not np.isfinite(fm):
             return None
-        if abs(fm) < abs(f_best):
-            z_best, f_best = zm, fm
+        if best is None or abs(fm) < abs(best[1]):
+            best = (zm, fm, jac)
         if abs(fm) <= EVENT_EIG_TOL:
-            return zm, fm
+            return zm, fm, jac
         if fa * fm < 0:
             sb, fb = sm, fm
         else:
             sa, fa = sm, fm
-    if z_best is not None and abs(f_best) <= 1e-6:
-        return z_best, f_best
+    if best is not None and abs(best[1]) <= 1e-6:
+        return best
     return None
 
 
-def _kernel_vector(spec, x, u0):
-    """Unit right eigenvector of J for its real eigenvalue nearest zero."""
-    jac = jacobian(spec, x, u0)
+def _kernel_vector(jac):
+    """Unit right eigenvector of ``jac`` for its real eigenvalue nearest zero."""
     vals, vecs = np.linalg.eig(jac)
     scale = max(1.0, float(np.max(np.abs(vals))))
     real = [i for i in range(len(vals)) if abs(vals[i].imag) <= 1e-8 * scale]
@@ -477,7 +489,11 @@ def detect_events(spec: NetworkSpec, points) -> list:
     events = []
     if len(points) < 2:
         return events
-    tests = [_test_eigenvalue(spec, p.x, p.u0) for p in points]
+    tests = [
+        p.test_eig if p.test_eig is not None
+        else _test_value(np.linalg.eigvals(linearize(spec, p.x, p.u0)[1]))
+        for p in points
+    ]
     for i in range(len(points) - 1):
         fa, fb = tests[i], tests[i + 1]
         if not (np.isfinite(fa) and np.isfinite(fb)) or fa * fb >= 0:
@@ -492,7 +508,7 @@ def detect_events(spec: NetworkSpec, points) -> list:
                 pa.u0, pb.u0,
             )
             continue
-        z_ev, eig_ev = refined
+        z_ev, eig_ev, jac_ev = refined
         x_ev, u0_ev = z_ev[:-1], float(z_ev[-1])
         fold = pa.tangent[-1] * pb.tangent[-1] < 0
 
@@ -517,9 +533,8 @@ def detect_events(spec: NetworkSpec, points) -> list:
                 u0=u0_ev,
                 x=x_ev,
                 eigenvalue=float(eig_ev),
-                kernel=_kernel_vector(spec, x_ev, u0_ev),
+                kernel=_kernel_vector(jac_ev),
                 detail=detail,
-                segment=i,
             )
         )
     return events
@@ -539,12 +554,13 @@ def _fixed_amplitude_solve(spec, event, offset, max_iter: int = 30):
     u0 = event.u0
     for _ in range(max_iter):
         x = event.x + offset + y
-        res = np.concatenate([vector_field(spec, x, u0), [k @ y]])
+        f, jac, f_u0 = linearize(spec, x, u0)
+        res = np.concatenate([f, [k @ y]])
         if np.linalg.norm(res) < NEWTON_TOL:
             return x, u0
         bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = jacobian(spec, x, u0)
-        bordered[:n, n] = _field_u0_derivative(spec, x, u0)
+        bordered[:n, :n] = jac
+        bordered[:n, n] = f_u0
         bordered[n, :n] = k
         try:
             delta = np.linalg.solve(bordered, -res)
@@ -730,13 +746,7 @@ def _already_covered(branches, point: BranchPoint, tol: float = CLOSURE_TOL) -> 
     """True when a previously traced branch passes through ``point``."""
     z = np.concatenate([point.x, [point.u0]])
     for branch in branches:
-        pts = branch.points
-        for a, b in zip(pts[:-1], pts[1:]):
-            za = np.concatenate([a.x, [a.u0]])
-            zb = np.concatenate([b.x, [b.u0]])
-            d = zb - za
-            denom = d @ d
-            s = 0.0 if denom == 0 else np.clip((z - za) @ d / denom, 0.0, 1.0)
-            if np.linalg.norm(za + s * d - z) <= tol:
-                return True
+        pts = np.array([np.concatenate([p.x, [p.u0]]) for p in branch.points])
+        if np.any(_polyline_distances(pts, z)[0] <= tol):
+            return True
     return False

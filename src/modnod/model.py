@@ -13,12 +13,17 @@ bifurcation parameter, passed to every evaluation rather than stored), and
 ``S`` is a smooth saturation with S(0) = 0 and S'(0) = 1.
 
 Everything in this module is a pure function of immutable inputs; specs
-and states are freely shareable across threads.
+and states are freely shareable across threads.  A spec compiles its
+modulation triplets into index and weight arrays once, at construction, and
+``linearize`` evaluates F, its Jacobian and dF/du0 from one shared build of
+the gains and of p; ``vector_field`` and ``jacobian`` return exactly (bit for
+bit) the same values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 import math
 import sys
 
@@ -32,6 +37,7 @@ __all__ = [
     "inner_argument",
     "vector_field",
     "jacobian",
+    "linearize",
 ]
 
 
@@ -119,9 +125,20 @@ def as_state(x, n: int) -> np.ndarray:
     return x
 
 
-@dataclass(eq=False)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _power(x: np.ndarray, e: int) -> np.ndarray:
+    # x**1 is x exactly; skipping it saves a ufunc call on the hot path
+    return x if e == 1 else x ** e
+
+
+@dataclass(frozen=True, eq=False)
 class NetworkSpec:
-    """A full model instance.
+    """A full model instance (immutable: fields cannot be reassigned and
+    ``A`` and ``b`` are read-only copies).
 
     Attributes:
         A: (N, N) additive interaction matrix.
@@ -144,31 +161,32 @@ class NetworkSpec:
     tau: float = 1.0
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        put = partial(object.__setattr__, self)  # the dataclass is frozen
+        A = np.array(self.A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         if not np.all(np.isfinite(A)):
             raise ValueError("A contains non-finite entries")
-        self.A = A
+        put("A", _read_only(A))
         n = A.shape[0]
 
         if self.b is None:
             b = np.zeros(n)
         else:
-            b = np.asarray(self.b, dtype=float).reshape(-1)
+            b = np.array(self.b, dtype=float).reshape(-1)
             if b.shape != (n,):
                 raise ValueError(f"b has shape {b.shape}, expected ({n},)")
             if not np.all(np.isfinite(b)):
                 raise ValueError("b contains non-finite entries")
-        self.b = b
+        put("b", _read_only(b))
 
         if int(self.order) != self.order or self.order < 1:
             raise ValueError(f"modulation order must be an integer >= 1, got {self.order}")
-        self.order = int(self.order)
+        put("order", int(self.order))
 
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        self.tau = float(self.tau)
+        put("tau", float(self.tau))
 
         triplets = []
         seen = set()
@@ -186,7 +204,20 @@ class NetworkSpec:
                 raise ValueError(f"duplicate modulation triplet {key}")
             seen.add(key)
             triplets.append((int(i), int(j), int(k), float(w)))
-        self.M = tuple(triplets)
+        put("M", tuple(triplets))
+
+        # compiled modulation: 0-based i, j, k and w per triplet, in M's order;
+        # gain_ij += w * x_k**n lands at flat index i*N + j, and the
+        # dp_i/dx_k term n * a_ij * w * x_k**(n-1) * x_j at i*N + k
+        i, j, k = (np.array([t[c] - 1 for t in triplets], dtype=np.intp) for c in range(3))
+        w = np.array([t[3] for t in triplets], dtype=float)
+        put("_m_k", _read_only(k))
+        put("_m_j", _read_only(j))
+        put("_m_weight", _read_only(w))
+        put("_gain_at", _read_only(i * n + j))
+        put("_slope_at", _read_only(i * n + k))
+        put("_m_slope", _read_only(self.order * A[i, j] * w))
+        put("_eye", _read_only(np.eye(n)))
 
     @property
     def N(self) -> int:
@@ -211,12 +242,11 @@ def modulated_gains(spec: NetworkSpec, x, u0: float) -> np.ndarray:
     With no modulation every entry is the basal attention u0.
     """
     x = np.asarray(x, dtype=float)
-    gains = np.full((spec.N, spec.N), float(u0))
+    gains = np.full(spec.N * spec.N, float(u0))
     if spec.M:
-        xn = x ** spec.order
-        for i, j, k, w in spec.M:
-            gains[i - 1, j - 1] += w * xn[k - 1]
-    return gains
+        # ufunc.at adds in M's order, also where triplets share an edge
+        np.add.at(gains, spec._gain_at, spec._m_weight * _power(x, spec.order)[spec._m_k])
+    return gains.reshape(spec.N, spec.N)
 
 
 def inner_argument(spec: NetworkSpec, x, u0: float) -> np.ndarray:
@@ -232,23 +262,31 @@ def vector_field(spec: NetworkSpec, x, u0: float) -> np.ndarray:
 
 
 def jacobian(spec: NetworkSpec, x, u0: float) -> np.ndarray:
-    """Analytic Jacobian of ``vector_field`` at (x, u0).
+    """Analytic Jacobian of ``vector_field`` at (x, u0); see ``linearize``."""
+    return linearize(spec, x, u0)[1]
+
+
+def linearize(spec: NetworkSpec, x, u0: float):
+    """``(F, J, F_u0)`` at (x, u0): the vector field, its Jacobian and its
+    u0-derivative, from one build of the gains and of p.
 
     J_il = (S'(p_i) * dp_i/dx_l - delta_il) / tau with
 
         dp_i/dx_l = a_il * gain_il(x)
-                    + n * sum_j a_ij * m_ijl * x_l**(n-1) * x_j.
+                    + n * sum_j a_ij * m_ijl * x_l**(n-1) * x_j,
 
+    and F_u0 = S'(p) * (A x) / tau, since u0 enters every gain additively.
     For n = 1 the factor x_l**(n-1) is the constant 1, including at
-    x_l = 0 (the 0**0 = 1 convention matches the algebraic expansion;
-    a naive power evaluation could produce surprises there).
+    x_l = 0.  F equals ``vector_field`` bit for bit.
     """
     x = np.asarray(x, dtype=float)
     n = spec.order
     dp = spec.A * modulated_gains(spec, x, u0)
+    p = dp @ x
+    sp = spec.saturation.derivative(p)
     if spec.M:
-        xm = np.ones_like(x) if n == 1 else x ** (n - 1)
-        for i, j, k, w in spec.M:
-            dp[i - 1, k - 1] += n * spec.A[i - 1, j - 1] * w * xm[k - 1] * x[j - 1]
-    sp = spec.saturation.derivative(inner_argument(spec, x, u0))
-    return (sp[:, None] * dp - np.eye(spec.N)) / spec.tau
+        slope = spec._m_slope if n == 1 else spec._m_slope * _power(x, n - 1)[spec._m_k]
+        np.add.at(dp.reshape(-1), spec._slope_at, slope * x[spec._m_j])
+    f = (-x + spec.b + spec.saturation(p)) / spec.tau
+    jac = (sp[:, None] * dp - spec._eye) / spec.tau
+    return f, jac, sp * (spec.A @ x) / spec.tau

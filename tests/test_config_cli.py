@@ -213,3 +213,14 @@ def test_cli_scenario_list(capsys):
     out = capsys.readouterr().out
     for name in ("two_node", "influencer_ring", "drive_steer"):
         assert name in out
+
+
+def test_diagram_step_options_override_only_given_keys():
+    from modnod.cli import _diagram_options
+    from modnod.continuation import StepParams
+
+    cfg = parse_config(json.dumps({
+        "scenario": {"name": "two_node"},
+        "params": {"u0_range": [0.0, 1.5], "step": {"max": 0.05, "max_points": 300}},
+    }))
+    assert _diagram_options(cfg).step == StepParams(max_step=0.05, max_points=300)

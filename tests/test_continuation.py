@@ -230,3 +230,23 @@ def test_detect_events_requires_two_points():
     spec = build_two_node(0.0, 1)
     seed = branch_point_at(spec, np.zeros(2), 0.2)
     assert detect_events(spec, [seed]) == []
+
+
+# -- point-to-polyline distance ----------------------------------------------
+
+def test_polyline_distances_match_brute_force_loop():
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        dim = int(rng.integers(2, 6))
+        pts = rng.uniform(-1, 1, (int(rng.integers(2, 12)), dim))
+        for r in rng.integers(1, len(pts), 2):  # zero-length segments
+            pts[r] = pts[r - 1]
+        z = rng.uniform(-1, 1, dim)
+        dist, seg_dir = continuation._polyline_distances(pts, z)
+        for s, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
+            d = b - a
+            denom = d @ d
+            t = 0.0 if denom == 0 else min(max((z - a) @ d / denom, 0.0), 1.0)
+            assert dist[s] == pytest.approx(np.linalg.norm(a + t * d - z), rel=1e-12, abs=1e-15)
+            unit = np.zeros(dim) if denom == 0 else d / np.sqrt(denom)
+            np.testing.assert_allclose(seg_dir[s], unit, rtol=1e-12, atol=1e-15)

@@ -1,7 +1,9 @@
+from dataclasses import FrozenInstanceError
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modnod import (
     NetworkSpec,
@@ -14,7 +16,7 @@ from modnod import (
     modulated_gains,
     vector_field,
 )
-from modnod.model import MAX_SHIFT
+from modnod.model import MAX_SHIFT, linearize
 
 
 def random_spec(rng, n_max=6, orders=(1, 2, 3)):
@@ -264,3 +266,77 @@ def test_jacobian_power_convention_at_zero_entry():
     J = jacobian(spec, x, 0.8)
     assert np.all(np.isfinite(J))
     np.testing.assert_allclose(J, fd_jacobian(spec, x, 0.8), atol=1e-9)
+
+
+# -- fused linearisation -------------------------------------------------------
+
+def loop_jacobian(spec, x, u0):
+    """Reference Jacobian: the gains and the modulation terms of dp/dx built
+    by a loop over M, one triplet at a time, in M's order."""
+    n = spec.order
+    gains = np.full((spec.N, spec.N), float(u0))
+    xn = x ** n
+    for i, j, k, w in spec.M:
+        gains[i - 1, j - 1] += w * xn[k - 1]
+    dp = spec.A * gains
+    xm = np.ones_like(x) if n == 1 else x ** (n - 1)
+    for i, j, k, w in spec.M:
+        dp[i - 1, k - 1] += n * spec.A[i - 1, j - 1] * w * xm[k - 1] * x[j - 1]
+    sp = spec.saturation.derivative((spec.A * gains) @ x)
+    return (sp[:, None] * dp - np.eye(spec.N)) / spec.tau
+
+
+@st.composite
+def linearize_cases(draw):
+    n = draw(st.integers(1, 3))
+    index = st.integers(1, n)
+    weight = st.floats(-2.0, 2.0)
+    # every (j, k) of a drawn j-set and k-set for a few rows i: triplets that
+    # share (i, j) with different k, and (i, k) with different j
+    triplets = {}
+    for i in draw(st.lists(index, max_size=2, unique=True)):
+        ks = draw(st.lists(index, min_size=1, max_size=3, unique=True))
+        for j in draw(st.lists(index, min_size=1, max_size=3, unique=True)):
+            for k in ks:
+                triplets[(i, j, k)] = draw(weight)
+    saturation = draw(st.one_of(st.just(Saturation.odd()),
+                                st.builds(Saturation.shifted, st.floats(-3.0, 3.0))))
+    A = np.array(draw(st.lists(weight, min_size=n * n, max_size=n * n))).reshape(n, n)
+    spec = NetworkSpec(A=A, M=tuple((*key, w) for key, w in triplets.items()),
+                       order=draw(st.integers(1, 3)), saturation=saturation,
+                       b=np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))),
+                       tau=draw(st.sampled_from([0.5, 1.0, 1.7])))
+    state = st.one_of(st.just(0.0), st.floats(-1.5, 1.5))
+    x = np.array(draw(st.lists(state, min_size=n, max_size=n)))
+    return spec, x, draw(st.floats(-1.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(linearize_cases())
+def test_linearize_matches_field_loop_jacobian_and_u0_difference(case):
+    spec, x, u0 = case
+    f, jac, f_u0 = linearize(spec, x, u0)
+    np.testing.assert_array_equal(f, vector_field(spec, x, u0))
+    np.testing.assert_array_equal(jac, loop_jacobian(spec, x, u0))
+    np.testing.assert_array_equal(jac, jacobian(spec, x, u0))
+    # central difference in u0: rounding is about eps * |F terms| / h, and the
+    # truncation h**2 / 6 * |d3F/du0^3| is far below it at h = 1e-6
+    h = 1e-6
+    fd = (vector_field(spec, x, u0 + h) - vector_field(spec, x, u0 - h)) / (2 * h)
+    size = (np.max(np.abs(x)) + np.max(np.abs(spec.b)) + spec.saturation.bound()) / spec.tau
+    np.testing.assert_allclose(f_u0, fd, rtol=1e-6, atol=1e-8 * (1.0 + size))
+
+
+def test_spec_is_frozen_and_owns_read_only_arrays():
+    A = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    spec = NetworkSpec(A=A, M=((2, 1, 1, 1.0),))
+    with pytest.raises(FrozenInstanceError):
+        spec.M = ((1, 2, 2, 1.0),)
+    with pytest.raises(FrozenInstanceError):
+        spec.order = 2
+    with pytest.raises(ValueError):
+        spec.A[0, 1] = 5.0
+    with pytest.raises(ValueError):
+        spec.b[0] = 1.0
+    A[0, 1] = 5.0  # the caller's array is not the spec's
+    assert spec.A[0, 1] == -1.0
