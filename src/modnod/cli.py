@@ -23,7 +23,7 @@ from . import continuation, dynamics, reduction, spectral
 from .config import RunConfig, parse_config, spec_to_json
 from .errors import ModnodError, ParseError, ValidationError
 from .output import branches_to_csv, branches_to_svg, trajectory_to_csv
-from .scenarios import SCENARIOS, drive_steer_label
+from .scenarios import SCENARIOS
 
 log = logging.getLogger("modnod.cli")
 
@@ -48,28 +48,50 @@ def _summary(quiet: bool, line: str):
         print(line)
 
 
-def _initial_state(cfg: RunConfig, default_scale: float = 0.1) -> np.ndarray:
-    x0 = cfg.params.get("x0", "random")
-    if isinstance(x0, str):
-        if x0 != "random":
-            raise ValidationError(f"params.x0: expected a vector or 'random', got {x0!r}")
-        rng = np.random.default_rng(cfg.seed)
-        scale = float(cfg.params.get("x0_scale", default_scale))
-        return scale * rng.standard_normal(cfg.spec.N)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (cfg.spec.N,):
-        raise ValidationError(
-            f"params.x0: expected length {cfg.spec.N}, got shape {x0.shape}"
-        )
-    return x0
+def _param(cfg: RunConfig, key: str, cast, default):
+    """``cast(cfg.params[key])``, or ``default`` when the key is absent; a
+    failing cast is a ValidationError naming ``params.<key>``."""
+    if key not in cfg.params:
+        return default
+    try:
+        return cast(cfg.params[key])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"params.{key}: {exc}") from None
+
+
+def _positive(value) -> float:
+    if not 0 < float(value) < np.inf:
+        raise ValueError(f"expected a positive finite number, got {value!r}")
+    return float(value)
+
+
+def _u0_range(value) -> tuple:
+    lo, hi = map(float, value)
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"expected finite [lo, hi] with lo < hi, got {value!r}")
+    return lo, hi
+
+
+def _state(cfg: RunConfig, default) -> np.ndarray:
+    """params.x0 as a finite state vector of length N."""
+    x = _param(cfg, "x0", lambda value: np.asarray(value, dtype=float), default)
+    if x.shape != (cfg.spec.N,) or not np.all(np.isfinite(x)):
+        raise ValidationError(f"params.x0: expected {cfg.spec.N} finite numbers, got {x.tolist()}")
+    return x
+
+
+def _initial_state(cfg: RunConfig) -> np.ndarray:
+    if cfg.params.get("x0", "random") != "random":
+        return _state(cfg, None)
+    scale = _param(cfg, "x0_scale", float, 0.1)
+    return scale * np.random.default_rng(cfg.seed).standard_normal(cfg.spec.N)
 
 
 def cmd_simulate(cfg: RunConfig, outdir: Path, args) -> int:
-    u0 = float(cfg.params.get("u0", 1.0))
-    t_end = float(cfg.params.get("t_end", 50.0))
-    dt = cfg.params.get("dt")
-    traj = dynamics.integrate(cfg.spec, _initial_state(cfg), u0, t_end,
-                              None if dt is None else float(dt))
+    u0 = _param(cfg, "u0", float, 1.0)
+    t_end = _param(cfg, "t_end", _positive, 50.0)
+    dt = _param(cfg, "dt", _positive, None)
+    traj = dynamics.integrate(cfg.spec, _initial_state(cfg), u0, t_end, dt)
     _write(outdir / "trajectory.csv", trajectory_to_csv(traj), args.quiet)
     _dump_spec(cfg, outdir, args.quiet)
     xf = traj.states[-1]
@@ -79,9 +101,9 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, args) -> int:
 
 
 def cmd_equilibrium(cfg: RunConfig, outdir: Path, args) -> int:
-    u0 = float(cfg.params.get("u0", 1.0))
-    x0 = cfg.params.get("x0", [0.0] * cfg.spec.N)
-    x_star = continuation.newton_equilibrium(cfg.spec, np.asarray(x0, dtype=float), u0)
+    u0 = _param(cfg, "u0", float, 1.0)
+    x0 = _state(cfg, np.zeros(cfg.spec.N))
+    x_star = continuation.newton_equilibrium(cfg.spec, x0, u0)
     point = continuation.branch_point_at(cfg.spec, x_star, u0)
     doc = {
         "u0": u0,
@@ -106,16 +128,17 @@ _STEP_KEYS = {
 }
 
 
-def _diagram_options(cfg: RunConfig) -> continuation.DiagramOptions:
-    step_doc = cfg.params.get("step", {})
-    step = continuation.StepParams(**{
-        name: cast(step_doc[key]) for key, (name, cast) in _STEP_KEYS.items() if key in step_doc
+def _step_params(doc) -> continuation.StepParams:
+    return continuation.StepParams(**{
+        name: cast(doc[key]) for key, (name, cast) in _STEP_KEYS.items() if key in doc
     })
-    labeler = drive_steer_label if cfg.scenario == "drive_steer" else None
+
+
+def _diagram_options(cfg: RunConfig) -> continuation.DiagramOptions:
     return continuation.DiagramOptions(
-        step=step,
-        max_depth=int(cfg.params.get("depth", 2)),
-        labeler=labeler,
+        step=_param(cfg, "step", _step_params, continuation.StepParams()),
+        max_depth=_param(cfg, "depth", int, 2),
+        labeler=SCENARIOS[cfg.scenario]["labeler"] if cfg.scenario else None,
     )
 
 
@@ -124,7 +147,7 @@ def _projection(cfg: RunConfig):
     component via params.projection = "x_i"."""
     choice = cfg.params.get("projection", "v_max")
     if isinstance(choice, str) and choice.startswith("x_"):
-        idx = int(choice[2:]) - 1
+        idx = _param(cfg, "projection", lambda c: int(c[2:]) - 1, None)
         if not (0 <= idx < cfg.spec.N):
             raise ValidationError(f"params.projection: component {choice!r} out of range")
         return (lambda x: x[idx]), choice
@@ -140,10 +163,9 @@ def _projection(cfg: RunConfig):
 
 
 def cmd_diagram(cfg: RunConfig, outdir: Path, args) -> int:
-    rng = cfg.params.get("u0_range")
-    if rng is None or len(rng) != 2:
+    if "u0_range" not in cfg.params:
         raise ValidationError("params.u0_range: required, as [lo, hi]")
-    branches = continuation.diagram(cfg.spec, (float(rng[0]), float(rng[1])),
+    branches = continuation.diagram(cfg.spec, _param(cfg, "u0_range", _u0_range, None),
                                     _diagram_options(cfg))
     _write(outdir / "diagram.csv", branches_to_csv(branches, cfg.spec.N), args.quiet)
     if not args.no_svg:

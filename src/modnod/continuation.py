@@ -18,7 +18,9 @@ Every corrector iterate takes one ``model.linearize`` (F, J and F_u0 from one
 build of the gains), and the corrector hands the converged point's J and
 F_u0 on: the tangent solve reuses them, and one ``eigvals`` of that J gives
 both the point's stability (leading eigenvalue) and its event test value,
-which event detection and bisection read instead of re-evaluating.
+which event detection and bisection read instead of re-evaluating.  All
+bordered systems go through ``_bordered_solve``; step-control factors and
+branch-switch offsets are module constants, not ``StepParams`` fields.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     StallError,
 )
 from .model import NetworkSpec, linearize
-from .spectral import eigenpair_near, max_entry_normalized
+from .spectral import _fix_sign, eigenpair_near, max_entry_normalized, nearest_real
 
 __all__ = [
     "StepParams",
@@ -63,6 +65,19 @@ NEWTON_TOL = 1e-12
 EVENT_EIG_TOL = 1e-8
 #: entries smaller than this count as zero in branch sign-pattern labels
 LABEL_ZERO_TOL = 1e-6
+#: relative imaginary part below which a Jacobian eigenvalue counts as real
+REAL_EIG_TOL = 1e-8
+#: step control: grow by STEP_GROW after a correction taking at most
+#: FAST_ITERS of its CORRECTOR_ITERS Newton iterations, shrink by STEP_SHRINK
+#: after a failed one, raise StallError after MAX_STALLS underflows in a row
+STEP_GROW = 1.3
+STEP_SHRINK = 0.5
+FAST_ITERS = 3
+CORRECTOR_ITERS = 8
+MAX_STALLS = 10
+#: branch-switch seed offset along the kernel, and in u0 for the fallback
+SWITCH_EPS = 1e-2
+SWITCH_DU0 = 5e-3
 
 
 class EventKind(str, Enum):
@@ -74,17 +89,12 @@ class EventKind(str, Enum):
 
 @dataclass(frozen=True)
 class StepParams:
-    """Pseudo-arclength step control."""
+    """Pseudo-arclength step bounds and point budget."""
 
     initial: float = 0.02
     min_step: float = 1e-5
     max_step: float = 0.1
-    grow: float = 1.3
-    shrink: float = 0.5
-    fast_iters: int = 3  # grow the step when the corrector needs fewer
-    corrector_iters: int = 8
     max_points: int = 2000
-    max_stalls: int = 10
 
 
 @dataclass
@@ -177,12 +187,26 @@ def newton_equilibrium(
     )
 
 
+def _bordered_solve(jac: np.ndarray, col: np.ndarray, row: np.ndarray, rhs: np.ndarray):
+    """Solve [[jac, col], [row]] z = rhs (``row`` of length N+1); None when
+    the matrix is singular or z is not finite."""
+    n = jac.shape[0]
+    bordered = np.empty((n + 1, n + 1))
+    bordered[:n, :n] = jac
+    bordered[:n, n] = col
+    bordered[n] = row
+    try:
+        z = np.linalg.solve(bordered, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return z if np.isfinite(z).all() else None
+
+
 def _bordered_correct(
     spec: NetworkSpec,
     z0: np.ndarray,
     direction: np.ndarray,
-    tol: float = NEWTON_TOL,
-    max_iter: int = 8,
+    max_iter: int = CORRECTOR_ITERS,
 ):
     """Newton-correct z = (x, u0) onto the branch within the hyperplane
     through z0 orthogonal to ``direction``.  Returns (z, iterations, J, F_u0)
@@ -192,40 +216,24 @@ def _bordered_correct(
     z = z0.copy()
     for it in range(max_iter + 1):
         res, jac, f_u0 = linearize(spec, z[:n], z[n])
-        if np.linalg.norm(res) < tol:
+        if np.linalg.norm(res) < NEWTON_TOL:
             return z, it, jac, f_u0
         if it == max_iter:
             return None
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = jac
-        bordered[:n, n] = f_u0
-        bordered[n, :] = direction
-        rhs = np.zeros(n + 1)
-        rhs[:n] = -res
-        rhs[n] = -(direction @ (z - z0))
-        try:
-            dz = np.linalg.solve(bordered, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(dz)):
+        dz = _bordered_solve(jac, f_u0, direction,
+                             np.concatenate((-res, [-(direction @ (z - z0))])))
+        if dz is None:
             return None
         z = z + dz
-    return None
 
 
 def _tangent(jac: np.ndarray, f_u0: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Unit tangent of the equilibrium curve at a point with Jacobian ``jac``
     and u0-derivative ``f_u0``, oriented along ``prev``."""
-    n = jac.shape[0]
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = jac
-    bordered[:n, n] = f_u0
-    bordered[n, :] = prev
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    try:
-        t = np.linalg.solve(bordered, rhs)
-    except np.linalg.LinAlgError:
+    rhs = np.zeros(len(prev))
+    rhs[-1] = 1.0
+    t = _bordered_solve(jac, f_u0, prev, rhs)
+    if t is None:
         # singular exactly at a branch point; reuse the previous tangent
         return prev.copy()
     t /= np.linalg.norm(t)
@@ -235,11 +243,8 @@ def _tangent(jac: np.ndarray, f_u0: np.ndarray, prev: np.ndarray) -> np.ndarray:
 def _test_value(vals: np.ndarray) -> float:
     """Real eigenvalue of smallest magnitude (signed) among ``vals``, NaN
     when none is real."""
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    real = vals[np.abs(vals.imag) <= 1e-8 * scale].real
-    if real.size == 0:
-        return np.nan
-    return float(real[np.argmin(np.abs(real))])
+    idx = nearest_real(vals, 0.0, REAL_EIG_TOL)
+    return np.nan if idx is None else float(vals[idx].real)
 
 
 def _branch_point(x: np.ndarray, u0: float, tangent: np.ndarray, jac: np.ndarray) -> BranchPoint:
@@ -285,10 +290,10 @@ def trace_branch(
     ``seed`` until it leaves ``u0_range``, exhausts the point budget, or the
     step underflows.
 
-    The step halves on correction failure, grows by ``step.grow`` after fast
-    corrections, and stays inside [step.min_step, step.max_step].
+    The step shrinks on correction failure and grows after fast corrections
+    (see STEP_GROW), inside [step.min_step, step.max_step].
 
-    Raises StallError after ``step.max_stalls`` consecutive underflows.
+    Raises StallError after MAX_STALLS consecutive underflows.
     """
     lo, hi = float(u0_range[0]), float(u0_range[1])
     if not lo < hi:
@@ -306,7 +311,7 @@ def trace_branch(
 
     while len(branch.points) < step.max_points:
         z_pred = z + h * t
-        result = _bordered_correct(spec, z_pred, t, max_iter=step.corrector_iters)
+        result = _bordered_correct(spec, z_pred, t)
         accept = False
         if result is not None:
             z_new, iters, jac, f_u0 = result
@@ -316,11 +321,11 @@ def trace_branch(
         if not accept:
             if h <= step.min_step * (1.0 + 1e-12):
                 stalls += 1
-                if stalls >= step.max_stalls:
+                if stalls >= MAX_STALLS:
                     raise StallError(
                         f"step underflowed {stalls} times near u0={z[n]:.6g}"
                     )
-            h = max(h * step.shrink, step.min_step)
+            h = max(h * STEP_SHRINK, step.min_step)
             continue
         stalls = 0
 
@@ -343,8 +348,8 @@ def trace_branch(
         z = z_new
         trail[len(branch.points)] = z
         branch.points.append(_branch_point(z[:n], z[n], t, jac))
-        if iters <= step.fast_iters:
-            h = min(h * step.grow, step.max_step)
+        if iters <= FAST_ITERS:
+            h = min(h * STEP_GROW, step.max_step)
 
     if detect:
         branch.events = detect_events(spec, branch.points)
@@ -449,15 +454,11 @@ def _refine_event(spec, za, zb, fa, fb, max_iter: int = 30):
 def _kernel_vector(jac):
     """Unit right eigenvector of ``jac`` for its real eigenvalue nearest zero."""
     vals, vecs = np.linalg.eig(jac)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    real = [i for i in range(len(vals)) if abs(vals[i].imag) <= 1e-8 * scale]
-    if not real:
+    idx = nearest_real(vals, 0.0, REAL_EIG_TOL)
+    if idx is None:
         return None
-    idx = min(real, key=lambda i: abs(vals[i].real))
-    v = vecs[:, idx].real.copy()
-    v /= np.linalg.norm(v)
-    imax = int(np.argmax(np.abs(v)))
-    return -v if v[imax] < 0 else v
+    v = vecs[:, idx].real
+    return _fix_sign(v / np.linalg.norm(v))
 
 
 def _classify_neutral_event(spec, u0_event):
@@ -558,15 +559,8 @@ def _fixed_amplitude_solve(spec, event, offset, max_iter: int = 30):
         res = np.concatenate([f, [k @ y]])
         if np.linalg.norm(res) < NEWTON_TOL:
             return x, u0
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = jac
-        bordered[:n, n] = f_u0
-        bordered[n, :n] = k
-        try:
-            delta = np.linalg.solve(bordered, -res)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)):
+        delta = _bordered_solve(jac, f_u0, np.append(k, 0.0), -res)
+        if delta is None:
             return None
         y = y + delta[:n]
         u0 = u0 + delta[n]
@@ -577,8 +571,8 @@ def switch_branch(
     spec: NetworkSpec,
     event: BifurcationEvent,
     direction: int,
-    eps: float = 1e-2,
-    du0: float = 5e-3,
+    eps: float = SWITCH_EPS,
+    du0: float = SWITCH_DU0,
 ) -> BranchPoint:
     """Jump from a steady-state bifurcation onto the emanating branch.
 
@@ -648,8 +642,6 @@ class DiagramOptions:
 
     step: StepParams = field(default_factory=StepParams)
     max_depth: int = 2
-    switch_eps: float = 1e-2
-    switch_du0: float = 5e-3
     labeler: object = None  # callable(BranchPoint) -> str
 
 
@@ -710,7 +702,7 @@ def diagram(
         if depth > 0:
             # switched seeds sit eps away from a singular point; creep away
             # from it before taking full-size steps
-            step = replace(step, initial=min(step.initial, 0.5 * options.switch_eps))
+            step = replace(step, initial=min(step.initial, 0.5 * SWITCH_EPS))
         try:
             branch = trace_branch(spec, seed, (lo, hi), step)
         except StallError as exc:
@@ -724,10 +716,7 @@ def diagram(
                 continue
             for direction in (1, -1):
                 try:
-                    seed_new = switch_branch(
-                        spec, event, direction,
-                        eps=options.switch_eps, du0=options.switch_du0,
-                    )
+                    seed_new = switch_branch(spec, event, direction)
                 except (NoBranchFound, ValueError) as exc:
                     log.debug(
                         "no switched branch at u0=%.6g direction %+d: %s",

@@ -31,7 +31,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ComplementDiverged, OutOfDomain
-from .model import NetworkSpec, jacobian, vector_field
+from .continuation import _bordered_solve
+from .model import NetworkSpec, linearize, vector_field
 from .spectral import EigenTriple
 
 __all__ = [
@@ -99,32 +100,21 @@ def ls_reduced_g(
     n = spec.N
     v_c, w_c = eig.v_max, eig.w_max
     v_unit = v_c / np.linalg.norm(v_c)
-
-    def big_f(x):
-        return spec.tau * vector_field(spec, x, u0)
+    row = np.append(v_unit, 0.0)
 
     x0 = v * v_c
     y = np.zeros(n)
-    c = float(w_c @ big_f(x0)) / float(w_c @ v_c)
+    c = float(w_c @ (spec.tau * vector_field(spec, x0, u0))) / float(w_c @ v_c)
     for _ in range(max_iter):
-        x = x0 + y
-        f = big_f(x)
+        f, jac, _ = linearize(spec, x0 + y, u0)
+        f = spec.tau * f
         res = np.concatenate([f - c * v_c, [v_unit @ y]])
         if np.linalg.norm(res) < tol:
             return float(w_c @ f)
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = spec.tau * jacobian(spec, x, u0)
-        bordered[:n, n] = -v_c
-        bordered[n, :n] = v_unit
-        try:
-            delta = np.linalg.solve(bordered, -res)
-        except np.linalg.LinAlgError as exc:
+        delta = _bordered_solve(spec.tau * jac, -v_c, row, -res)
+        if delta is None:
             raise ComplementDiverged(
-                f"bordered solve failed at (v={v:.4g}, u0={u0:.4g})"
-            ) from exc
-        if not np.all(np.isfinite(delta)):
-            raise ComplementDiverged(
-                f"non-finite Newton update at (v={v:.4g}, u0={u0:.4g})"
+                f"bordered solve singular or non-finite at (v={v:.4g}, u0={u0:.4g})"
             )
         y = y + delta[:n]
         c = c + delta[n]
@@ -139,8 +129,10 @@ def ls_derivatives(spec: NetworkSpec, eig: EigenTriple, tol: float = CLASSIFY_TO
 
     The third v-derivative uses the antisymmetric 5-point stencil; the u0
     step scales with u0* so the stencil stays inside the reduction
-    neighborhood for any eigenvalue magnitude.
+    neighborhood for any eigenvalue magnitude.  Needs b = 0 (OutOfDomain).
     """
+    if np.any(spec.b != 0):
+        raise OutOfDomain("the reduction at x = 0 needs b = 0, the origin is no equilibrium")
     u0_star = eig.u0_star
     h_v = FD_STEP_V
     h_u = FD_STEP_U0_REL * abs(u0_star)

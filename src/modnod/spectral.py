@@ -88,34 +88,34 @@ def _eigen_data(A: np.ndarray):
     return vals, vl, vr
 
 
-def _build_triple(A: np.ndarray, vals, vl, vr, idx: int, sat_deriv0: float) -> EigenTriple:
+def nearest_real(vals: np.ndarray, target: float, tol: float) -> int | None:
+    """Index of the real eigenvalue in ``vals`` nearest ``target`` (the first
+    on a tie; real: |imag| <= tol * max(1, max |vals|)), or None."""
     scale = max(1.0, float(np.max(np.abs(vals))))
-    lam = vals[idx]
-    if abs(lam.imag) > GAP_TOL * scale:
-        raise NoStrictLeader(f"eigenvalue {lam} is not real")
-    others = np.delete(vals, idx)
-    gap = float(lam.real - np.max(others.real)) if others.size else np.inf
-    if gap <= GAP_TOL:
-        raise NoStrictLeader(
-            f"spectral gap {gap:.3e} at eigenvalue {lam.real:.6g} is below {GAP_TOL:.0e}"
-        )
+    dist = np.where(np.abs(vals.imag) <= tol * scale, np.abs(vals.real - target), np.inf)
+    idx = int(np.argmin(dist))
+    return None if dist[idx] == np.inf else idx
 
-    v = vr[:, idx]
-    w = vl[:, idx].conj()  # scipy convention: vl.conj().T @ A = diag(vals) @ vl.conj().T
-    if max(np.max(np.abs(v.imag)), np.max(np.abs(w.imag))) > 1e-12 * scale:
-        raise NoStrictLeader("eigenvectors of the leading eigenvalue are not real")
-    v = _fix_sign(v.real.copy())
+
+def _triple(spec: NetworkSpec, vals, vl, vr, idx: int) -> EigenTriple:
+    """EigenTriple for the real eigenvalue ``vals[idx]`` of spec.A."""
+    lam = float(vals[idx].real)
+    others = np.delete(vals, idx)
+    gap = float(lam - np.max(others.real)) if others.size else np.inf
+    v = _fix_sign(vr[:, idx].real.copy())
     v /= np.linalg.norm(v)
-    w = w.real.copy()
+    # scipy convention: vl.conj().T @ A = diag(vals) @ vl.conj().T
+    w = vl[:, idx].conj().real.copy()
     pairing = float(w @ v)
     if abs(pairing) < 1e-12:
         raise NoStrictLeader("left/right eigenvectors are numerically orthogonal")
     w /= pairing
+    sat_deriv0 = float(spec.saturation.derivative(0.0))
     return EigenTriple(
-        lambda_max=float(lam.real),
+        lambda_max=lam,
         v_max=v,
         w_max=w,
-        u0_star=1.0 / (sat_deriv0 * float(lam.real)) if lam.real != 0 else np.inf,
+        u0_star=1.0 / (sat_deriv0 * lam) if lam != 0 else np.inf,
         spectral_gap=gap,
     )
 
@@ -126,45 +126,39 @@ def leading_eigenpair(spec: NetworkSpec) -> EigenTriple:
     Raises NoStrictLeader when the eigenvalue of largest real part is
     complex, repeated, or has spectral gap below GAP_TOL.
     """
-    sat_deriv0 = float(spec.saturation.derivative(0.0))
     vals, vl, vr = _eigen_data(spec.A)
     idx = int(np.argmax(vals.real))
-    return _build_triple(spec.A, vals, vl, vr, idx, sat_deriv0)
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    if abs(vals[idx].imag) > GAP_TOL * scale:
+        raise NoStrictLeader(f"eigenvalue {vals[idx]} is not real")
+    if max(np.max(np.abs(vr[:, idx].imag)), np.max(np.abs(vl[:, idx].imag))) > 1e-12 * scale:
+        raise NoStrictLeader("eigenvectors of the leading eigenvalue are not real")
+    eig = _triple(spec, vals, vl, vr, idx)
+    if eig.spectral_gap <= GAP_TOL:
+        raise NoStrictLeader(
+            f"spectral gap {eig.spectral_gap:.3e} at eigenvalue {eig.lambda_max:.6g} "
+            f"is below {GAP_TOL:.0e}"
+        )
+    return eig
 
 
 def eigenpair_near(spec: NetworkSpec, target: float) -> EigenTriple:
     """Eigen data for the real eigenvalue of spec.A closest to ``target``.
 
-    Same normalization and simpleness checks as leading_eigenpair; used to
-    classify neutral-branch crossings of non-leading eigenvalues.
+    Same normalization as leading_eigenpair, but checks only that the
+    eigenvalue is simple; used to classify neutral-branch crossings of
+    non-leading eigenvalues.
     """
-    sat_deriv0 = float(spec.saturation.derivative(0.0))
     vals, vl, vr = _eigen_data(spec.A)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    real_idx = [i for i in range(len(vals)) if abs(vals[i].imag) <= GAP_TOL * scale]
-    if not real_idx:
+    idx = nearest_real(vals, target, GAP_TOL)
+    if idx is None:
         raise NoStrictLeader("matrix has no real eigenvalues")
-    idx = min(real_idx, key=lambda i: abs(vals[i].real - target))
     lam = vals[idx].real
     others = np.delete(vals, idx)
+    scale = max(1.0, float(np.max(np.abs(vals))))
     if others.size and np.min(np.abs(others - lam)) <= GAP_TOL * scale:
         raise NoStrictLeader(f"eigenvalue {lam:.6g} is not simple")
-
-    v = _fix_sign(vr[:, idx].real.copy())
-    v /= np.linalg.norm(v)
-    w = vl[:, idx].conj().real.copy()
-    pairing = float(w @ v)
-    if abs(pairing) < 1e-12:
-        raise NoStrictLeader("left/right eigenvectors are numerically orthogonal")
-    w /= pairing
-    gap = float(lam - np.max(others.real)) if others.size else np.inf
-    return EigenTriple(
-        lambda_max=float(lam),
-        v_max=v,
-        w_max=w,
-        u0_star=1.0 / (sat_deriv0 * float(lam)) if lam != 0 else np.inf,
-        spectral_gap=gap,
-    )
+    return _triple(spec, vals, vl, vr, idx)
 
 
 def critical_attention(spec: NetworkSpec) -> float:

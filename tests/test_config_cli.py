@@ -207,6 +207,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["analyze", "--config", rotation, "--out", str(tmp_path)]) == 1
     assert "NoStrictLeader" in capsys.readouterr().err
 
+    # the origin is no equilibrium when b != 0, so there is nothing to reduce
+    biased = write_config(tmp_path, {"model": {"A": [[0, 1], [1, 0]], "b": [0.1, 0]}}, "b.json")
+    assert main(["reduce", "--config", biased, "--out", str(tmp_path)]) == 1
+    assert "OutOfDomain" in capsys.readouterr().err
+
+    for command, params, key in [
+        ("diagram", {"u0_range": ["a", "b"]}, "u0_range"),
+        ("diagram", {"u0_range": [1.5, 0.2]}, "u0_range"),
+        ("diagram", {"u0_range": [0.0, 1.5], "projection": "x_a"}, "projection"),
+        ("diagram", {"u0_range": [0.0, 1.5], "depth": "x"}, "depth"),
+        ("diagram", {"u0_range": [0.0, 1.5], "step": {"max": "a"}}, "step"),
+        ("equilibrium", {"x0": [0.1, 0.2, 0.3]}, "x0"),
+        ("simulate", {"u0": "abc"}, "u0"),
+        ("simulate", {"t_end": -1}, "t_end"),
+    ]:
+        cfg = write_config(tmp_path, {"scenario": {"name": "two_node"}, "params": params})
+        assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+        assert f"ValidationError: params.{key}:" in capsys.readouterr().err
+
 
 def test_cli_scenario_list(capsys):
     assert main(["scenario", "list"]) == 0

@@ -250,3 +250,15 @@ def test_polyline_distances_match_brute_force_loop():
             assert dist[s] == pytest.approx(np.linalg.norm(a + t * d - z), rel=1e-12, abs=1e-15)
             unit = np.zeros(dim) if denom == 0 else d / np.sqrt(denom)
             np.testing.assert_allclose(seg_dir[s], unit, rtol=1e-12, atol=1e-15)
+
+
+# -- bordered solve ----------------------------------------------------------
+
+def test_bordered_solve_rejects_singular_and_non_finite_systems():
+    jac, col = np.diag([1.0, 2.0]), np.array([1.0, 0.0])
+    row, rhs = np.array([0.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0])
+    z = continuation._bordered_solve(jac, col, row, rhs)
+    np.testing.assert_allclose(np.block([[jac, col[:, None]], [row]]) @ z, rhs, rtol=1e-14)
+    # a border row repeating the first row of [J, c] makes the matrix singular
+    assert continuation._bordered_solve(jac, col, np.array([1.0, 0.0, 1.0]), rhs) is None
+    assert continuation._bordered_solve(jac, col, row, np.array([np.inf, 2.0, 3.0])) is None

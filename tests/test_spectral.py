@@ -75,6 +75,9 @@ def test_eigen_invariants_random_matrices():
         assert eig.spectral_gap > 0
         peak = np.argmax(np.abs(eig.v_max))
         assert eig.v_max[peak] > 0
+        near = eigenpair_near(spec, eig.lambda_max)
+        for name in ("lambda_max", "v_max", "w_max", "u0_star", "spectral_gap"):
+            np.testing.assert_array_equal(getattr(near, name), getattr(eig, name))
 
 
 def test_no_strict_leader_cases():
