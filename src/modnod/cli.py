@@ -119,12 +119,14 @@ def cmd_equilibrium(cfg: RunConfig, outdir: Path, args) -> int:
     return EXIT_OK
 
 
-#: params.step key -> (StepParams field, type); absent keys keep the default
+#: params.step key -> (StepParams field, type); absent keys keep the default,
+#: and StepParams rejects out-of-range values (max_points is read as a float
+#: so that a fractional count is rejected, not truncated)
 _STEP_KEYS = {
     "initial": ("initial", float),
     "min": ("min_step", float),
     "max": ("max_step", float),
-    "max_points": ("max_points", int),
+    "max_points": ("max_points", float),
 }
 
 

@@ -21,6 +21,17 @@ both the point's stability (leading eigenvalue) and its event test value,
 which event detection and bisection read instead of re-evaluating.  All
 bordered systems go through ``_bordered_solve``; step-control factors and
 branch-switch offsets are module constants, not ``StepParams`` fields.
+
+Mirror branches are reflected, not traced.  A flippable block is a connected
+component of the graph of A (a_ij != 0, i != j) on which b is zero and, for
+odd ``order``, from which no triplet with a_ij * w != 0 takes its modulator
+k.  With an odd S, every product d of block flips satisfies F(d x) = d F(x)
+and J(d x) = D J D, and rounding commutes with negation, so tracing from the
+image of a traced seed (same u0 and step bounds, x = d x', tangent = (d, 1)
+t') gives the image of its branch exactly, up to the sign of zeros (x + (-x)
+is +0 on both sides; the CSV writes every zero as 0.0).  ``diagram`` builds
+that image instead: states by d, kernels by d up to their sign convention,
+eigenvalues, stability and event classifications unchanged.
 """
 
 from __future__ import annotations
@@ -95,6 +106,17 @@ class StepParams:
     min_step: float = 1e-5
     max_step: float = 0.1
     max_points: int = 2000
+
+    def __post_init__(self):
+        for name in ("initial", "min_step", "max_step"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.min_step > self.max_step:
+            raise ValueError(f"min_step {self.min_step!r} exceeds max_step {self.max_step!r}")
+        if not (float(self.max_points).is_integer() and self.max_points >= 2):
+            raise ValueError(f"max_points must be an integer >= 2, got {self.max_points!r}")
+        object.__setattr__(self, "max_points", int(self.max_points))  # the dataclass is frozen
 
 
 @dataclass
@@ -697,17 +719,27 @@ def diagram(
         branch.label = label if count == 0 else f"{label}/{count + 1}"
         branches.append(branch)
 
+    blocks = _flip_blocks(spec)
+    traced: list[tuple] = []  # (seed, step, branch) of every traced branch
+
     def trace_from(seed: BranchPoint, depth: int) -> None:
         step = options.step
         if depth > 0:
             # switched seeds sit eps away from a singular point; creep away
             # from it before taking full-size steps
             step = replace(step, initial=min(step.initial, 0.5 * SWITCH_EPS))
-        try:
-            branch = trace_branch(spec, seed, (lo, hi), step)
-        except StallError as exc:
-            log.warning("branch trace stalled: %s", exc)
-            return
+        for seed0, step0, branch0 in traced:
+            d = _seed_flip(seed0, seed, blocks) if step0 == step else None
+            if d is not None:
+                branch = _reflect(branch0, seed, d)
+                break
+        else:
+            try:
+                branch = trace_branch(spec, seed, (lo, hi), step)
+            except StallError as exc:
+                log.warning("branch trace stalled: %s", exc)
+                return
+            traced.append((seed, step, branch))
         add(branch)
         if depth >= options.max_depth:
             return
@@ -729,6 +761,51 @@ def diagram(
 
     trace_from(primary_seed, 0)
     return branches
+
+
+def _flip_blocks(spec: NetworkSpec) -> list:
+    """Boolean node masks of the flippable blocks of ``spec`` (see the
+    module docstring); none unless S is odd."""
+    if spec.saturation.kind != "odd":
+        return []
+    reach = (spec.A != 0) | (spec.A.T != 0) | np.eye(spec.N, dtype=bool)
+    for _ in range(spec.N.bit_length()):  # squaring doubles the path length reached
+        reach = reach @ reach
+    pinned = spec.b != 0
+    if spec.order % 2:
+        pinned[[k - 1 for i, j, k, w in spec.M if spec.A[i - 1, j - 1] != 0 and w != 0]] = True
+    return [block for block in np.unique(reach, axis=0) if not (block & pinned).any()]
+
+
+def _seed_flip(seed0: BranchPoint, seed: BranchPoint, blocks):
+    """The sign vector d, a product of flips of the ``blocks`` (boolean
+    masks), under which ``seed`` is the exact image of ``seed0``: same u0,
+    x = d x0 and tangent = (d, 1) t0, entry for entry (-0 equals 0).  None
+    when there is no such d or only the identity."""
+    if seed.u0 != seed0.u0:
+        return None
+    d = np.ones(len(seed.x))
+    for m in blocks:
+        if not (np.array_equal(seed.x[m], seed0.x[m])
+                and np.array_equal(seed.tangent[:-1][m], seed0.tangent[:-1][m])):
+            d[m] = -1.0
+    if (d > 0).all() or not (np.array_equal(seed.x, d * seed0.x)
+                             and np.array_equal(seed.tangent, np.append(d, 1.0) * seed0.tangent)):
+        return None
+    return d
+
+
+def _reflect(branch: Branch, seed: BranchPoint, d: np.ndarray) -> Branch:
+    """The image of ``branch`` under the flip d, starting at ``seed``: what
+    tracing from ``seed`` gives when ``seed`` is the image of
+    ``branch.points[0]`` (see the module docstring)."""
+    dt = np.append(d, 1.0)
+    points = [seed] + [replace(p, x=d * p.x, tangent=dt * p.tangent) for p in branch.points[1:]]
+    events = [
+        replace(e, x=d * e.x, kernel=None if e.kernel is None else _fix_sign(d * e.kernel))
+        for e in branch.events
+    ]
+    return Branch(points=points, events=events)
 
 
 def _already_covered(branches, point: BranchPoint, tol: float = CLOSURE_TOL) -> bool:

@@ -1,7 +1,7 @@
 """CSV and SVG emitters for diagrams and trajectories.
 
-All float formatting uses repr (shortest round-trip), so identical inputs
-produce byte-identical files.
+All float formatting uses repr (shortest round-trip), with zero always
+written as 0.0, so equal inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ __all__ = ["branches_to_csv", "trajectory_to_csv", "branches_to_svg"]
 
 
 def _fmt(x) -> str:
-    return repr(float(x))
+    return repr(float(x) + 0.0)  # -0.0 + 0.0 is 0.0; every other value is kept
 
 
 def _escape(text: str) -> str:
@@ -104,6 +104,8 @@ def branches_to_svg(branches, projection, ylabel: str, timestamp: str | None = N
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
+    if x_hi - x_lo < 1e-12:
+        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     if y_hi - y_lo < 1e-12:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)

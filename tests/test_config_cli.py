@@ -130,6 +130,29 @@ def test_cli_diagram_two_node(tmp_path):
     assert "<x, v_max>" in texts
 
 
+def one_point_branch():
+    from modnod.continuation import Branch, BranchPoint
+
+    point = BranchPoint(u0=0.5, x=np.array([-0.0, 0.0]), leading_jac_eig=-1.0, stable=True,
+                        tangent=np.array([0.0, 0.0, 1.0]))
+    return Branch(points=[point], label="00")
+
+
+def test_svg_of_a_single_point_parses():
+    # every point at one u0: the u0 span is widened as the y span is
+    from modnod.output import branches_to_svg
+
+    svg = branches_to_svg([one_point_branch()], lambda x: x[0], "x_1")
+    root = ElementTree.fromstring(svg)
+    assert "00" in [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+
+
+def test_csv_writes_negative_zero_as_zero():
+    from modnod.output import branches_to_csv
+
+    assert branches_to_csv([one_point_branch()], 2).splitlines()[1] == "00,0,0.5,0.0,0.0,-1.0,true,"
+
+
 def test_cli_reduce_ring(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": {"name": "influencer_ring", "m_bar": 0.5}})
     rc = main(["reduce", "--config", cfg, "--out", str(tmp_path)])
@@ -218,6 +241,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("diagram", {"u0_range": [0.0, 1.5], "projection": "x_a"}, "projection"),
         ("diagram", {"u0_range": [0.0, 1.5], "depth": "x"}, "depth"),
         ("diagram", {"u0_range": [0.0, 1.5], "step": {"max": "a"}}, "step"),
+        ("diagram", {"u0_range": [0.0, 1.5], "step": {"initial": 0}}, "step"),
+        ("diagram", {"u0_range": [0.0, 1.5], "step": {"max_points": 0}}, "step"),
+        ("diagram", {"u0_range": [0.0, 1.5], "step": {"max_points": 1}}, "step"),
+        ("diagram", {"u0_range": [0.0, 1.5], "step": {"max": -0.1}}, "step"),
         ("equilibrium", {"x0": [0.1, 0.2, 0.3]}, "x0"),
         ("simulate", {"u0": "abc"}, "u0"),
         ("simulate", {"t_end": -1}, "t_end"),

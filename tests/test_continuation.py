@@ -1,5 +1,10 @@
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modnod.continuation as continuation
 from modnod import (
@@ -24,6 +29,8 @@ from modnod import (
     trace_branch,
     vector_field,
 )
+from modnod.model import Saturation, linearize
+from modnod.scenarios import build_scenario
 
 
 def neutral_branch(spec, u0_range, **step_kw):
@@ -262,3 +269,141 @@ def test_bordered_solve_rejects_singular_and_non_finite_systems():
     # a border row repeating the first row of [J, c] makes the matrix singular
     assert continuation._bordered_solve(jac, col, np.array([1.0, 0.0, 1.0]), rhs) is None
     assert continuation._bordered_solve(jac, col, row, np.array([np.inf, 2.0, 3.0])) is None
+
+
+# -- step parameters ---------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs", [
+    {"initial": 0.0}, {"initial": np.inf}, {"min_step": -1e-5}, {"max_step": np.nan},
+    {"min_step": 0.2, "max_step": 0.1}, {"max_points": 1}, {"max_points": 2.5},
+    {"max_points": np.inf},
+])
+def test_step_params_reject_out_of_range_values(kwargs):
+    with pytest.raises(ValueError):
+        StepParams(**kwargs)
+
+
+def test_step_params_take_integral_point_budget():
+    budget = StepParams(max_points=300.0).max_points
+    assert budget == 300 and type(budget) is int
+
+
+# -- sign-flip symmetry ------------------------------------------------------
+
+#: the seven scenario diagrams of the benchmark's diagram_scenarios workload
+SCENARIO_DIAGRAMS = [
+    ("two_node", {"m_strength": 1.0, "n": 1}, (0.0, 1.5)),
+    ("two_node", {"m_strength": 1.0, "n": 2}, (0.0, 1.5)),
+    ("two_node", {"m_strength": 1.0, "n": 3}, (0.0, 1.5)),
+    ("influencer_ring", {"m_bar": 0.0}, (0.05, 1.2)),
+    ("influencer_ring", {"m_bar": 0.5}, (0.05, 1.2)),
+    ("drive_steer", {"m_bar": 0.0}, (0.05, 4.0)),
+    ("drive_steer", {"m_bar": 2.0}, (0.05, 11.0)),
+]
+
+
+def flip_group(spec):
+    """Sign vectors of every product of flips of the blocks ``_flip_blocks``
+    returns, identity included."""
+    blocks = continuation._flip_blocks(spec)
+    return [np.where(np.any([b for b, used in zip(blocks, mask) if used] + [np.zeros(spec.N, bool)],
+                            axis=0), -1.0, 1.0)
+            for mask in product((False, True), repeat=len(blocks))]
+
+
+@st.composite
+def block_specs(draw):
+    """Specs whose A is block diagonal up to a node permutation, with blocks
+    that may split further where a drawn weight is zero; modulators k from
+    any block, zero or nonzero weights and b entries."""
+    n = draw(st.integers(2, 5))
+    block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    weight = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    A = np.array([[draw(weight) if block[i] == block[j] else 0.0 for j in range(n)]
+                  for i in range(n)])
+    index = st.integers(1, n)
+    triplets = {}
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(index)
+        j = draw(st.sampled_from([j + 1 for j in range(n) if block[j] == block[i - 1]]))
+        triplets[(i, j, draw(index))] = draw(weight)
+    saturation = draw(st.one_of(st.just(Saturation.odd()),
+                                st.builds(Saturation.shifted, st.floats(-3.0, 3.0))))
+    b = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+                               min_size=n, max_size=n)))
+    spec = NetworkSpec(A=A, M=tuple((*key, w) for key, w in triplets.items()),
+                       order=draw(st.integers(1, 3)), saturation=saturation, b=b)
+    x = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)))
+    return spec, x, draw(st.floats(-1.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(block_specs())
+def test_flips_commute_with_linearisation_exactly(case):
+    # equality as values: an exact cancellation gives +0 on both sides
+    spec, x, u0 = case
+    blocks = continuation._flip_blocks(spec)
+    if spec.saturation.kind != "odd":
+        assert blocks == []
+    linked = (spec.A != 0) | (spec.A.T != 0)
+    for block in blocks:  # disjoint, and no edge of A leaves a block
+        assert not linked[block][:, ~block].any()
+    assert np.sum(blocks, axis=0).max(initial=0) <= 1
+    f, jac, f_u0 = linearize(spec, x, u0)
+    for d in flip_group(spec):
+        f_d, jac_d, f_u0_d = linearize(spec, d * x, u0)
+        np.testing.assert_array_equal(f_d, d * f)
+        np.testing.assert_array_equal(jac_d, d[:, None] * jac * d)
+        np.testing.assert_array_equal(f_u0_d, d * f_u0)
+
+
+@pytest.mark.parametrize("name,params,u0_range", SCENARIO_DIAGRAMS)
+def test_flip_blocks_find_every_sign_symmetry_of_the_scenarios(name, params, u0_range):
+    spec = build_scenario(name, **params)
+    rng = np.random.default_rng(5)
+    samples = [(rng.uniform(-1, 1, spec.N), rng.uniform(*u0_range)) for _ in range(3)]
+    brute = {
+        d for d in product((1.0, -1.0), repeat=spec.N)
+        if all(np.array_equal(linearize(spec, np.array(d) * x, u0)[0],
+                              np.array(d) * linearize(spec, x, u0)[0]) for x, u0 in samples)
+    }
+    assert {tuple(d) for d in flip_group(spec)} == brute
+
+
+def test_flip_blocks_join_a_directed_path_into_one_block():
+    # a_i,i+1 only: node 1 reaches node 5 through four edges of one direction
+    spec = NetworkSpec(A=np.eye(5, k=1), M=((1, 2, 5, 0.5),), order=2)
+    assert [block.tolist() for block in continuation._flip_blocks(spec)] == [[True] * 5]
+    pinned = NetworkSpec(A=np.eye(5, k=1), M=((1, 2, 5, 0.5),), order=1)
+    assert continuation._flip_blocks(pinned) == []
+
+
+def assert_same(a, b):
+    """Field-by-field equality of branch points and events (NaN equals NaN,
+    -0 equals 0)."""
+    if is_dataclass(a):
+        assert type(a) is type(b)
+        for f in fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif a is None or isinstance(a, (str, bool, Enum)):
+        assert a == b
+    else:
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("name,params,u0_range", SCENARIO_DIAGRAMS)
+def test_every_diagram_branch_equals_its_own_trace(name, params, u0_range):
+    # reflected branches are not traced; each must still be exactly what
+    # tracing from its first point gives, with the step diagram uses there
+    # (switched seeds, every branch after the first, start with a short step)
+    spec = build_scenario(name, **params)
+    switched = replace(StepParams(), initial=min(StepParams().initial,
+                                                 0.5 * continuation.SWITCH_EPS))
+    branches = diagram(spec, u0_range)
+    for i, branch in enumerate(branches):
+        ref = trace_branch(spec, branch.points[0], u0_range,
+                           StepParams() if i == 0 else switched)
+        assert len(branch.points) == len(ref.points)
+        assert len(branch.events) == len(ref.events)
+        for p, q in zip(branch.points + branch.events, ref.points + ref.events):
+            assert_same(p, q)

@@ -2,8 +2,11 @@
 
 ``tests/golden/<name>/diagram.csv`` and ``diagram.svg`` were written by
 ``modnod diagram --config '<inline JSON>' --no-timestamp`` with the configs
-below (the two criterion-7 golden configs and drive/steer at m_bar = 0 and
-m_bar = 2), before the fused linearisation replaced the per-call gain loop.
+below: the seven scenario configs of the benchmark's ``diagram_scenarios``
+(two-node orders 1-3, the influencer ring at m_bar = 0 and 0.5, drive/steer
+at m_bar = 0 and 2).  The first four were written before the fused
+linearisation replaced the per-call gain loop; two-node n = 2 and 3 and the
+m_bar = 0 ring before mirror branches were reflected instead of traced.
 A change that moves any digit of these files must say why in CHANGES.md.
 The bytes depend on float64 rounding in numpy and LAPACK, so a different
 platform may legitimately differ in the last printed digits.
@@ -21,6 +24,12 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = {
     "two_node_n1": {"scenario": {"name": "two_node", "m_strength": 1.0, "n": 1},
                     "params": {"u0_range": [0.0, 1.5]}},
+    "two_node_n2": {"scenario": {"name": "two_node", "m_strength": 1.0, "n": 2},
+                    "params": {"u0_range": [0.0, 1.5]}},
+    "two_node_n3": {"scenario": {"name": "two_node", "m_strength": 1.0, "n": 3},
+                    "params": {"u0_range": [0.0, 1.5]}},
+    "influencer_ring_m0": {"scenario": {"name": "influencer_ring", "m_bar": 0.0},
+                           "params": {"u0_range": [0.05, 1.2]}},
     "influencer_ring_m0.5": {"scenario": {"name": "influencer_ring", "m_bar": 0.5},
                              "params": {"u0_range": [0.05, 1.2]}},
     "drive_steer_m0": {"scenario": {"name": "drive_steer", "m_bar": 0.0},
