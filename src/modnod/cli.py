@@ -197,7 +197,6 @@ def cmd_reduce(cfg: RunConfig, outdir: Path, args) -> int:
         "g_vu0": report.g_vu0,
         "g_vvv": report.g_vvv,
         "classification": report.classification.value,
-        "fd_steps": list(report.fd_steps),
         "kernel": report.kernel.tolist(),
     }
     _write(outdir / "reduce.json", json.dumps(doc, indent=2) + "\n", args.quiet)

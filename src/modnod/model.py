@@ -108,6 +108,11 @@ class Saturation:
             return 1.0 - np.tanh(z) ** 2
         return (math.cosh(self.shift) / np.cosh(self._clipped(z) - self.shift)) ** 2
 
+    def derivatives_at_zero(self) -> tuple:
+        """(S''(0), S'''(0)) = (2 tanh s, 6 tanh(s)^2 - 2); s = 0 for ``odd``."""
+        t = math.tanh(self.shift)
+        return 2.0 * t, 6.0 * t * t - 2.0
+
     def bound(self) -> float:
         """sup |S(z)| over the real line."""
         if self.kind == "odd":

@@ -1,4 +1,4 @@
-"""Numerical Lyapunov-Schmidt reduction at a simple steady-state singularity.
+"""Lyapunov-Schmidt reduction at a simple steady-state singularity.
 
 Near a crossing at (x, u0) = (0, u0*), equilibria are captured by a scalar
 equation g(v, u0) = 0 along the kernel direction v_c: for each (v, u0) the
@@ -11,11 +11,11 @@ with F = tau * vector_field (the undivided field), and
 
     g(v, u0) = <w_c, F(v * v_c + y(v, u0), u0)>.
 
-The singularity type then follows from the low-order derivatives of g via
-the standard recognition conditions: a nonzero second v-derivative marks a
-transcritical crossing, a vanishing second with nonzero third derivative a
-pitchfork, supercritical exactly when the cubic and the eigenvalue-crossing
-speed have opposite signs.
+The singularity type then follows from the derivatives of g at (0, u0*),
+which ``ls_derivatives`` takes in closed form, via the standard recognition
+conditions: a nonzero second v-derivative marks a transcritical crossing, a
+vanishing second with nonzero third derivative a pitchfork, supercritical
+exactly when the cubic and the eigenvalue-crossing speed have opposite signs.
 
 Derivative values depend on the kernel normalization; reports record the
 kernel vector used.  Pass a max-entry-normalized triple (all-ones kernel
@@ -27,12 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .errors import ComplementDiverged, OutOfDomain
-from .continuation import _bordered_solve
-from .model import NetworkSpec, linearize, vector_field
+from .errors import ComplementDiverged, DegenerateLeader, OutOfDomain
+from .continuation import NEWTON_TOL, _bordered_solve
+from .model import NetworkSpec, inner_argument, linearize, vector_field
 from .spectral import EigenTriple
 
 __all__ = [
@@ -43,12 +44,7 @@ __all__ = [
     "classify_singularity",
 ]
 
-#: FD steps balancing truncation against complement-solve noise; validated
-#: to 1% on the closed-form ring oracle before freezing
-FD_STEP_V = 5e-3
-FD_STEP_U0_REL = 5e-3
-#: default degeneracy tolerance on derivatives normalized by the crossing
-#: speed g_vu0
+#: degeneracy tolerance on derivatives normalized by the crossing speed g_vu0
 CLASSIFY_TOL = 1e-4
 
 
@@ -61,7 +57,7 @@ class Classification(str, Enum):
 
 @dataclass(frozen=True)
 class LSReport:
-    """Finite-difference derivatives of the reduced map at (0, u0*)."""
+    """Derivatives of the reduced map at (0, u0*), exact up to rounding."""
 
     g: float
     g_v: float
@@ -70,19 +66,12 @@ class LSReport:
     g_vu0: float
     g_vvv: float
     classification: Classification
-    fd_steps: tuple  # (h_v, h_u0)
     u0_star: float
     kernel: np.ndarray  # the v_c used, fixing the normalization
 
 
-def ls_reduced_g(
-    spec: NetworkSpec,
-    eig: EigenTriple,
-    v: float,
-    u0: float,
-    tol: float = 1e-12,
-    max_iter: int = 30,
-) -> float:
+def ls_reduced_g(spec: NetworkSpec, eig: EigenTriple, v: float, u0: float,
+                 max_iter: int = 30) -> float:
     """Evaluate the reduced scalar map g(v, u0).
 
     Valid in a neighborhood of the singularity: |v| <= 0.3 and
@@ -109,7 +98,7 @@ def ls_reduced_g(
         f, jac, _ = linearize(spec, x0 + y, u0)
         f = spec.tau * f
         res = np.concatenate([f - c * v_c, [v_unit @ y]])
-        if np.linalg.norm(res) < tol:
+        if np.linalg.norm(res) < NEWTON_TOL:
             return float(w_c @ f)
         delta = _bordered_solve(spec.tau * jac, -v_c, row, -res)
         if delta is None:
@@ -123,65 +112,71 @@ def ls_reduced_g(
     )
 
 
-def ls_derivatives(spec: NetworkSpec, eig: EigenTriple, tol: float = CLASSIFY_TOL) -> LSReport:
-    """Central finite differences of the reduced map on a 5 x 3 stencil
-    centered at the singularity (0, u0*).
+def ls_derivatives(spec: NetworkSpec, eig: EigenTriple) -> LSReport:
+    """Exact derivatives of the reduced map at the singularity (0, u0*).
 
-    The third v-derivative uses the antisymmetric 5-point stencil; the u0
-    step scales with u0* so the stencil stays inside the reduction
-    neighborhood for any eigenvalue magnitude.  Needs b = 0 (OutOfDomain).
+    With b = 0 (OutOfDomain otherwise) and a finite u0* (DegenerateLeader
+    otherwise), p(x) = u0 A x + q(x) with q homogeneous of degree n + 1, so
+    the Golubitsky-Schaeffer formulas (*Singularities and Groups in
+    Bifurcation Theory* I, ch. I, section 3) close at the origin.  With
+    L = tau J(0, u0*), E = I - v w^T and y = -L^-1 E d2F(v, v), <v, y> = 0,
+    from one bordered solve:
+
+        g_vu0 = <w, S'(0) A v>,  g_vv = <w, d2F(v, v)>,
+        g_vvv = <w, d3F(v, v, v) + 3 d2F(v, y)>.
     """
     if np.any(spec.b != 0):
         raise OutOfDomain("the reduction at x = 0 needs b = 0, the origin is no equilibrium")
-    u0_star = eig.u0_star
-    h_v = FD_STEP_V
-    h_u = FD_STEP_U0_REL * abs(u0_star)
+    u0 = eig.u0_star
+    if not np.isfinite(u0):
+        raise DegenerateLeader(f"eigenvalue {eig.lambda_max:.6g} gives no finite u0*")
+    v, w = eig.v_max, eig.w_max
+    f, jac, f_u0 = linearize(spec, np.zeros(spec.N), u0)
+    s2, s3 = spec.saturation.derivatives_at_zero()
+    # S'(0) = 1, and q's derivatives at 0 follow from q itself: for n = 1
+    # D2q(a, b) = q(a + b) - q(a) - q(b), so D2q(v, v) = 2 q(v); for n = 2
+    # D3q(v, v, v) = 6 q(v); for n >= 3 both vanish
+    q = partial(inner_argument, spec, u0=0.0)
 
-    v_offsets = (-2, -1, 0, 1, 2)
-    u_offsets = (-1, 0, 1)
-    g = np.empty((5, 3))
-    for a, dv in enumerate(v_offsets):
-        for b, du in enumerate(u_offsets):
-            g[a, b] = ls_reduced_g(spec, eig, dv * h_v, u0_star + du * h_u)
+    def d2f(a, b):
+        d2q = q(a + b) - q(a) - q(b) if spec.order == 1 else 0.0
+        return s2 * (u0 * spec.A @ a) * (u0 * spec.A @ b) + d2q
 
-    g0 = g[2, 1]
-    # fourth-order first derivative: the plain central difference would
-    # carry a g_vvv * h^2 / 6 truncation term larger than the degeneracy
-    # tolerances this value is compared against
-    g_v = (-g[4, 1] + 8 * g[3, 1] - 8 * g[1, 1] + g[0, 1]) / (12 * h_v)
-    g_u0 = (g[2, 2] - g[2, 0]) / (2 * h_u)
-    g_vv = (g[3, 1] - 2 * g[2, 1] + g[1, 1]) / h_v**2
-    g_vvv = (g[4, 1] - 2 * g[3, 1] + 2 * g[1, 1] - g[0, 1]) / (2 * h_v**3)
-    g_vu0 = (g[3, 2] - g[1, 2] - g[3, 0] + g[1, 0]) / (4 * h_v * h_u)
-
+    av = u0 * spec.A @ v
+    # the q terms of d3F(v, v, v): 3 S''(0) (u0 A v) D2q(v, v) + D3q(v, v, v)
+    d3f = s3 * av**3 + {1: 6 * s2 * av, 2: 6.0}.get(spec.order, 0.0) * q(v)
+    d2f_vv = d2f(v, v)
+    sol = _bordered_solve(spec.tau * jac, v, np.append(v / np.linalg.norm(v), 0.0),
+                          np.append(-d2f_vv, 0.0))
+    if sol is None:
+        raise ComplementDiverged("bordered solve singular or non-finite at the singularity")
     report = LSReport(
-        g=float(g0),
-        g_v=float(g_v),
-        g_u0=float(g_u0),
-        g_vv=float(g_vv),
-        g_vu0=float(g_vu0),
-        g_vvv=float(g_vvv),
+        g=float(w @ (spec.tau * f)),
+        g_v=float(w @ (spec.tau * jac @ v)),
+        g_u0=float(w @ (spec.tau * f_u0)),
+        g_vv=float(w @ d2f_vv),
+        g_vu0=float(w @ (spec.A @ v)),
+        g_vvv=float(w @ (d3f + 3 * d2f(v, sol[:-1]))),
         classification=Classification.DEGENERATE,
-        fd_steps=(h_v, h_u),
-        u0_star=float(u0_star),
-        kernel=eig.v_max.copy(),
+        u0_star=float(u0),
+        kernel=v.copy(),
     )
-    return replace(report, classification=classify_singularity(report, tol))
+    return replace(report, classification=classify_singularity(report))
 
 
-def classify_singularity(report: LSReport, tol: float = CLASSIFY_TOL) -> Classification:
+def classify_singularity(report: LSReport) -> Classification:
     """Recognize the singularity type from reduced-map derivatives.
 
     Derivatives are normalized by |g_vu0| (the eigenvalue crossing speed)
-    so the tolerance is scale-free.  Requires the caller to have verified
-    |g|, |g_v| < tol at the candidate point.
+    so CLASSIFY_TOL is scale-free.  Requires the caller to have verified
+    |g|, |g_v| < CLASSIFY_TOL at the candidate point.
     """
     scale = abs(report.g_vu0)
-    if scale <= tol:
+    if scale <= CLASSIFY_TOL:
         return Classification.DEGENERATE
-    if abs(report.g_vv) / scale > tol:
+    if abs(report.g_vv) / scale > CLASSIFY_TOL:
         return Classification.TRANSCRITICAL
-    if abs(report.g_vvv) / scale > tol:
+    if abs(report.g_vvv) / scale > CLASSIFY_TOL:
         if report.g_vvv * report.g_vu0 < 0:
             return Classification.SUPERCRITICAL_PITCHFORK
         return Classification.SUBCRITICAL_PITCHFORK

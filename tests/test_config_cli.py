@@ -160,8 +160,8 @@ def test_cli_reduce_ring(tmp_path, capsys):
     assert rc == 0
     assert "classification = Transcritical" in out
     doc = json.loads((tmp_path / "reduce.json").read_text())
-    assert abs(doc["g_vv"] - 2.0) < 0.01 * 2.0
-    assert abs(doc["g_vvv"] + 2.0) < 0.01 * 2.0
+    assert abs(doc["g_vv"] - 2.0) < 1e-12 * 2.0
+    assert abs(doc["g_vvv"] + 2.0) < 1e-12 * 2.0
 
 
 def test_cli_simulate_and_equilibrium(tmp_path):
@@ -234,6 +234,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     biased = write_config(tmp_path, {"model": {"A": [[0, 1], [1, 0]], "b": [0.1, 0]}}, "b.json")
     assert main(["reduce", "--config", biased, "--out", str(tmp_path)]) == 1
     assert "OutOfDomain" in capsys.readouterr().err
+
+    # lambda_max = 0 puts the crossing at u0* = inf
+    neutral = write_config(tmp_path, {"model": {"A": [[0, 1], [0, -1]]}}, "zero.json")
+    assert main(["reduce", "--config", neutral, "--out", str(tmp_path)]) == 1
+    assert "DegenerateLeader" in capsys.readouterr().err
 
     for command, params, key in [
         ("diagram", {"u0_range": ["a", "b"]}, "u0_range"),

@@ -225,6 +225,17 @@ def test_diagram_two_node_supercritical():
     assert labels == ["+-", "-+", "00"]
 
 
+def test_diagram_two_node_strong_third_order_modulation_is_pitchfork():
+    # q has degree 4 for n = 3, so the crossing stays a pitchfork however
+    # strong the modulation
+    branches = diagram(build_two_node(4.0, 3), (0.0, 1.5))
+    events = branches[0].events
+    assert len(events) == 1
+    assert abs(events[0].u0 - 1.0) < 1e-6
+    assert events[0].kind == EventKind.PITCHFORK
+    assert events[0].detail.classification == Classification.SUPERCRITICAL_PITCHFORK
+
+
 def test_trace_stalls_when_correction_never_converges(monkeypatch):
     spec = build_two_node(0.0, 1)
     seed = branch_point_at(spec, np.zeros(2), 0.2)

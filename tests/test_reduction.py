@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from modnod import (
     Classification,
     ComplementDiverged,
     LSReport,
     NetworkSpec,
+    NoStrictLeader,
     OutOfDomain,
+    Saturation,
     branch_point_at,
     build_influencer_ring,
     build_two_node,
@@ -77,23 +82,23 @@ def test_trivial_zero_at_the_singularity():
 
 @pytest.mark.parametrize("m_bar", [0.0, 0.25, 0.5, 1.0])
 def test_ring_derivative_values(m_bar):
-    # Oracle values from the consensus closed form at (0, 1/2):
-    #   g_vv = 4 m_bar, g_vvv = -2, and the crossing speed g_vu0 equals
-    #   lambda_max = 2 (confirmed against branch asymptotics a^2 ~ 6 du0).
-    spec, eig = ring_eig(m_bar)
-    rep = ls_derivatives(spec, eig)
-    assert abs(rep.g) < 1e-9 and abs(rep.g_v) < 1e-6
-    assert abs(rep.g_u0) < 1e-6
-    assert abs(rep.g_vu0 - 2.0) < 0.01 * 2.0
-    if m_bar == 0.0:
-        assert abs(rep.g_vv) < 1e-6
-    else:
-        assert abs(rep.g_vv - 4.0 * m_bar) < 0.01 * 4.0 * m_bar
-    assert abs(rep.g_vvv - (-2.0)) < 0.01 * 2.0
-    expected = (Classification.SUPERCRITICAL_PITCHFORK if m_bar == 0.0
-                else Classification.TRANSCRITICAL)
-    assert rep.classification == expected
-    np.testing.assert_allclose(rep.kernel, np.ones(5), atol=1e-12)
+    # Closed form on the consensus diagonal at (0, 1/2): g(v, u0) =
+    # -v + S(2 v (u0 + m_bar v)) with S''(0) = 2 tanh s and
+    # S'''(0) = 6 tanh^2 s - 2, so g_vv = 4 m_bar + 2 tanh s,
+    # g_vvv = 24 m_bar tanh s + 6 tanh^2 s - 2, and the crossing speed g_vu0
+    # equals lambda_max = 2.
+    for shift in (0.0, 0.5, 3.0, 20.0):
+        spec = replace(build_influencer_ring(m_bar), saturation=Saturation.shifted(shift))
+        rep = ls_derivatives(spec, max_entry_normalized(leading_eigenpair(spec)))
+        t = np.tanh(shift)
+        for got, want in [(rep.g, 0.0), (rep.g_v, 0.0), (rep.g_u0, 0.0), (rep.g_vu0, 2.0),
+                          (rep.g_vv, 4.0 * m_bar + 2.0 * t),
+                          (rep.g_vvv, 24.0 * m_bar * t + 6.0 * t * t - 2.0)]:
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        expected = (Classification.SUPERCRITICAL_PITCHFORK if m_bar == 0.0 and shift == 0.0
+                    else Classification.TRANSCRITICAL)
+        assert rep.classification == expected
+        np.testing.assert_allclose(rep.kernel, np.ones(5), atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -105,9 +110,58 @@ def test_ring_derivative_values(m_bar):
     ],
 )
 def test_two_node_order_classifications(n, expected):
-    spec = build_two_node(1.0, n)
-    rep = ls_derivatives(spec, max_entry_normalized(leading_eigenpair(spec)))
-    assert rep.classification == expected
+    # the order alone sets the type: for n = 3, q has degree 4, so g_vv is
+    # exactly 0 however strong the modulation
+    for m_strength in (1.0, 4.0, 10.0):
+        spec = build_two_node(m_strength, n)
+        rep = ls_derivatives(spec, max_entry_normalized(leading_eigenpair(spec)))
+        assert rep.classification == expected
+
+
+@st.composite
+def reducible_specs(draw):
+    n = draw(st.integers(2, 5))
+    index = st.integers(1, n)
+    A = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)))
+    M = {}
+    for _ in range(draw(st.integers(0, 4))):
+        key = (draw(index), draw(index), draw(index))
+        M[key] = (*key, draw(st.floats(-2.0, 2.0)))
+    saturation = draw(st.one_of(st.just(Saturation.odd()),
+                                st.builds(Saturation.shifted, st.floats(-3.0, 3.0))))
+    # the diagonal shift also makes negative leading eigenvalues (u0* < 0)
+    A = A.reshape(n, n) - draw(st.floats(0.0, 3.0)) * np.eye(n)
+    return NetworkSpec(A=A, M=tuple(M.values()), order=draw(st.integers(1, 3)),
+                       saturation=saturation, tau=draw(st.floats(0.2, 5.0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(reducible_specs())
+def test_closed_form_matches_extrapolated_differences_of_reduced_map(spec):
+    try:
+        eig = max_entry_normalized(leading_eigenpair(spec))
+    except NoStrictLeader:
+        assume(False)
+    # a well-separated leader keeps the complement solve well conditioned,
+    # so that the differences resolve the coefficients
+    assume(abs(eig.lambda_max) > 0.2 and eig.spectral_gap > 0.1 * abs(eig.lambda_max))
+    rep = ls_derivatives(spec, eig)
+    u0 = eig.u0_star
+
+    def g(dv, du):
+        return ls_reduced_g(spec, eig, dv, u0 * (1.0 + du))
+
+    def differences(h):
+        g_vv = (g(h, 0) - 2 * g(0, 0) + g(-h, 0)) / h**2
+        g_vvv = (g(2 * h, 0) - 2 * g(h, 0) + 2 * g(-h, 0) - g(-2 * h, 0)) / (2 * h**3)
+        g_vu0 = (g(h, h) - g(-h, h) - g(h, -h) + g(-h, -h)) / (4 * h * h * u0)
+        return np.array([g_vv, g_vu0, g_vvv])
+
+    # central differences err by O(h^2); one Richardson step removes that term
+    extrapolated = (4 * differences(1e-3) - differences(2e-3)) / 3
+    exact = np.array([rep.g_vv, rep.g_vu0, rep.g_vvv])
+    assert np.all(np.abs(exact - extrapolated) <= 1e-5 * np.maximum(1.0, np.abs(exact)))
 
 
 def test_crossing_speed_independent_of_modulation():
@@ -139,7 +193,7 @@ def test_zero_set_matches_continuation_branch():
 def make_report(g_vv, g_vvv, g_vu0):
     return LSReport(g=0.0, g_v=0.0, g_u0=0.0, g_vv=g_vv, g_vu0=g_vu0,
                     g_vvv=g_vvv, classification=Classification.DEGENERATE,
-                    fd_steps=(5e-3, 2.5e-3), u0_star=0.5, kernel=np.ones(5))
+                    u0_star=0.5, kernel=np.ones(5))
 
 
 def test_classifier_rules():
