@@ -120,8 +120,9 @@ def cmd_equilibrium(cfg: RunConfig, outdir: Path, args) -> int:
 
 
 #: params.step key -> (StepParams field, type); absent keys keep the default,
-#: and StepParams rejects out-of-range values (max_points is read as a float
-#: so that a fractional count is rejected, not truncated)
+#: other keys are rejected, and StepParams rejects out-of-range values
+#: (max_points is read as a float so that a fractional count is rejected,
+#: not truncated)
 _STEP_KEYS = {
     "initial": ("initial", float),
     "min": ("min_step", float),
@@ -131,6 +132,9 @@ _STEP_KEYS = {
 
 
 def _step_params(doc) -> continuation.StepParams:
+    unknown = set(doc) - set(_STEP_KEYS)
+    if unknown:
+        raise ValueError(f"unknown key(s) {sorted(unknown)}")
     return continuation.StepParams(**{
         name: cast(doc[key]) for key, (name, cast) in _STEP_KEYS.items() if key in doc
     })
@@ -230,15 +234,15 @@ def cmd_analyze(cfg: RunConfig, outdir: Path, args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    if args.action != "list":
-        print(f"unknown scenario action {args.action!r}; try 'list'", file=sys.stderr)
-        return EXIT_CONFIG
     for name in sorted(SCENARIOS):
         entry = SCENARIOS[name]
         params = ", ".join(f"{k}={v}" for k, v in entry["params"].items())
         print(f"{name}({params}): {entry['describe']}")
     return EXIT_OK
 
+
+#: every params key some command reads; one config can serve all commands
+_PARAM_KEYS = {"u0", "x0", "x0_scale", "t_end", "dt", "u0_range", "step", "depth", "projection"}
 
 _COMMANDS = {
     "simulate": cmd_simulate,
@@ -263,11 +267,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-svg", action="store_true")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp comment from SVG output")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
         p.add_argument("--quiet", action="store_true")
     ps = sub.add_parser("scenario")
-    ps.add_argument("action", nargs="?", default="list")
+    ps.add_argument("action", nargs="?", default="list", choices=["list"])
     return parser
 
 
@@ -281,8 +283,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config if args.config else sys.stdin)
-        if args.seed is not None:
-            cfg.seed = args.seed
+        unknown = set(cfg.params) - _PARAM_KEYS
+        if unknown:
+            raise ValidationError(f"params: unknown key(s) {sorted(unknown)}")
         code = _COMMANDS[args.command](cfg, Path(args.out), args)
     except (ParseError, ValidationError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

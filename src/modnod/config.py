@@ -47,46 +47,46 @@ def _require(cond: bool, message: str):
         raise ValidationError(message)
 
 
-def spec_from_json(doc: dict, path: str = "model") -> NetworkSpec:
+def spec_from_json(doc: dict) -> NetworkSpec:
     """Build a NetworkSpec from its JSON form, reporting precise field paths."""
-    _require(isinstance(doc, dict), f"{path}: expected an object")
+    _require(isinstance(doc, dict), "model: expected an object")
     unknown = set(doc) - {"A", "M", "n", "saturation", "b", "tau"}
-    _require(not unknown, f"{path}: unknown field(s) {sorted(unknown)}")
-    _require("A" in doc, f"{path}.A: required")
+    _require(not unknown, f"model: unknown field(s) {sorted(unknown)}")
+    _require("A" in doc, "model.A: required")
 
     A = doc["A"]
     _require(
         isinstance(A, list) and A and all(isinstance(r, list) for r in A),
-        f"{path}.A: expected a matrix (list of rows)",
+        "model.A: expected a matrix (list of rows)",
     )
     nrows = len(A)
     for r, row in enumerate(A):
         _require(
             len(row) == nrows,
-            f"{path}.A: row {r} has {len(row)} entries, expected {nrows} (square matrix)",
+            f"model.A: row {r} has {len(row)} entries, expected {nrows} (square matrix)",
         )
 
     triplets = []
     for idx, entry in enumerate(doc.get("M", [])):
         _require(
             isinstance(entry, list) and len(entry) == 4,
-            f"{path}.M[{idx}]: expected [i, j, k, weight]",
+            f"model.M[{idx}]: expected [i, j, k, weight]",
         )
         triplets.append(tuple(entry))
 
     sat_doc = doc.get("saturation", {"variant": "odd"})
-    _require(isinstance(sat_doc, dict), f"{path}.saturation: expected an object")
+    _require(isinstance(sat_doc, dict), "model.saturation: expected an object")
     variant = sat_doc.get("variant", "odd")
     if variant == "odd":
         saturation = Saturation.odd()
     elif variant == "shifted":
-        _require("s" in sat_doc, f"{path}.saturation.s: required for the shifted variant")
+        _require("s" in sat_doc, "model.saturation.s: required for the shifted variant")
         try:
             saturation = Saturation.shifted(float(sat_doc["s"]))
         except (ValueError, TypeError) as exc:
-            raise ValidationError(f"{path}.saturation.s: {exc}") from exc
+            raise ValidationError(f"model.saturation.s: {exc}") from exc
     else:
-        raise ValidationError(f"{path}.saturation.variant: unknown variant {variant!r}")
+        raise ValidationError(f"model.saturation.variant: unknown variant {variant!r}")
 
     try:
         return NetworkSpec(
@@ -98,7 +98,7 @@ def spec_from_json(doc: dict, path: str = "model") -> NetworkSpec:
             tau=doc.get("tau", 1.0),
         )
     except (ValueError, TypeError) as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+        raise ValidationError(f"model: {exc}") from exc
 
 
 def spec_to_json(spec: NetworkSpec) -> dict:

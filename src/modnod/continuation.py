@@ -19,8 +19,9 @@ build of the gains), and the corrector hands the converged point's J and
 F_u0 on: the tangent solve reuses them, and one ``eigvals`` of that J gives
 both the point's stability (leading eigenvalue) and its event test value,
 which event detection and bisection read instead of re-evaluating.  All
-bordered systems go through ``_bordered_solve``; step-control factors and
-branch-switch offsets are module constants, not ``StepParams`` fields.
+bordered systems go through ``_bordered_solve``; step-control factors,
+tolerances and branch-switch offsets are module constants, not
+``StepParams`` fields or keyword arguments.
 
 Mirror branches are reflected, not traced.  A flippable block is a connected
 component of the graph of A (a_ij != 0, i != j) on which b is zero and, for
@@ -50,7 +51,7 @@ from .errors import (
     SingularJacobian,
     StallError,
 )
-from .model import NetworkSpec, linearize
+from .model import NetworkSpec, as_state, linearize
 from .spectral import _fix_sign, eigenpair_near, max_entry_normalized, nearest_real
 
 __all__ = [
@@ -159,7 +160,6 @@ def newton_equilibrium(
     spec: NetworkSpec,
     x_guess,
     u0: float,
-    tol: float = NEWTON_TOL,
     max_iter: int = 50,
 ) -> np.ndarray:
     """Damped Newton solve of ``vector_field(spec, x, u0) = 0``.
@@ -171,16 +171,12 @@ def newton_equilibrium(
         SingularJacobian: the linear solve failed (typically right at a
             bifurcation; callers should fall back to a bordered system).
     """
-    x = np.asarray(x_guess, dtype=float).reshape(-1).copy()
-    if x.shape != (spec.N,):
-        raise ValueError(f"x_guess has shape {x.shape}, expected ({spec.N},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x_guess contains non-finite entries")
+    x = as_state(x_guess, spec.N).copy()
 
     res, jac, _ = linearize(spec, x, u0)
     rnorm = np.linalg.norm(res)
     for _ in range(max_iter):
-        if rnorm < tol:
+        if rnorm < NEWTON_TOL:
             return x
         try:
             step = np.linalg.solve(jac, -res)
@@ -201,7 +197,7 @@ def newton_equilibrium(
             raise NewtonDiverged(
                 f"step damping underflowed at u0={u0:.6g} (residual {rnorm:.3e})"
             )
-    if rnorm < tol:
+    if rnorm < NEWTON_TOL:
         return x
     raise NewtonDiverged(
         f"no convergence in {max_iter} iterations at u0={u0:.6g} "
@@ -306,7 +302,6 @@ def trace_branch(
     seed: BranchPoint,
     u0_range,
     step: StepParams | None = None,
-    detect: bool = True,
 ) -> Branch:
     """Pseudo-arclength continuation of the equilibrium branch through
     ``seed`` until it leaves ``u0_range``, exhausts the point budget, or the
@@ -373,8 +368,7 @@ def trace_branch(
         if iters <= FAST_ITERS:
             h = min(h * STEP_GROW, step.max_step)
 
-    if detect:
-        branch.events = detect_events(spec, branch.points)
+    branch.events = detect_events(spec, branch.points)
     return branch
 
 
@@ -401,11 +395,8 @@ def _closes_loop(trail, z, z_new) -> bool:
     if len(trail) < _CLOSURE_GAP + 2:
         return False
     heading = z_new - z
-    hn = np.linalg.norm(heading)
-    if hn == 0:
-        return False
     dist, seg_dir = _polyline_distances(trail[: len(trail) - _CLOSURE_GAP], z_new)
-    same_way = seg_dir @ (heading / hn) > 0.9
+    same_way = seg_dir @ (heading / np.linalg.norm(heading)) > 0.9
     return bool(np.any((dist <= CLOSURE_TOL) & same_way))
 
 
@@ -432,16 +423,11 @@ def _secant_point(spec, za, zb, s):
     """Correct the convex combination (1-s) za + s zb back onto the branch,
     constraining along the secant so the parametrization survives folds."""
     d = zb - za
-    norm = np.linalg.norm(d)
-    if norm == 0:
-        return za.copy(), linearize(spec, za[:-1], za[-1])[1]
-    d = d / norm
-    z0 = za + s * (zb - za)
-    result = _bordered_correct(spec, z0, d, max_iter=12)
+    result = _bordered_correct(spec, za + s * d, d / np.linalg.norm(d), max_iter=12)
     return None if result is None else (result[0], result[2])
 
 
-def _refine_event(spec, za, zb, fa, fb, max_iter: int = 30):
+def _refine_event(spec, za, zb, fa, fb):
     """Bisect the segment [za, zb] on the near-zero real eigenvalue.
 
     Returns (z, eig, J) with |eig| <= EVENT_EIG_TOL and J the Jacobian at z,
@@ -451,7 +437,7 @@ def _refine_event(spec, za, zb, fa, fb, max_iter: int = 30):
     """
     sa, sb = 0.0, 1.0
     best = None  # (z, eig, J) with the smallest |eig| so far
-    for _ in range(max_iter):
+    for _ in range(30):
         sm = 0.5 * (sa + sb)
         corrected = _secant_point(spec, za, zb, sm)
         if corrected is None:
@@ -567,7 +553,7 @@ def detect_events(spec: NetworkSpec, points) -> list:
 # Branch switching
 
 
-def _fixed_amplitude_solve(spec, event, offset, max_iter: int = 30):
+def _fixed_amplitude_solve(spec, event, offset):
     """Solve F(x_event + offset + y, u0) = 0 with y orthogonal to the
     kernel, unknowns (y, u0).  Pinning the kernel amplitude keeps Newton
     from sliding back into the parent equilibrium's basin."""
@@ -575,7 +561,7 @@ def _fixed_amplitude_solve(spec, event, offset, max_iter: int = 30):
     k = event.kernel
     y = np.zeros(n)
     u0 = event.u0
-    for _ in range(max_iter):
+    for _ in range(30):
         x = event.x + offset + y
         f, jac, f_u0 = linearize(spec, x, u0)
         res = np.concatenate([f, [k @ y]])
@@ -593,16 +579,16 @@ def switch_branch(
     spec: NetworkSpec,
     event: BifurcationEvent,
     direction: int,
-    eps: float = SWITCH_EPS,
-    du0: float = SWITCH_DU0,
 ) -> BranchPoint:
     """Jump from a steady-state bifurcation onto the emanating branch.
 
-    The seed displacement is direction * eps along the kernel direction at
-    the event.  The emanating point is found by a bordered Newton solve
-    that pins the kernel amplitude at eps and frees u0 (a plain Newton
-    solve at u0 displaced by +-du0 is tried as a fallback); the result is
-    accepted only when it leaves the parent branch.
+    The seed displacement is direction * SWITCH_EPS along the kernel
+    direction at the event.  The emanating point is found by a bordered
+    Newton solve that pins the kernel amplitude at SWITCH_EPS and frees u0;
+    when that lands back on the parent branch, a plain Newton solve from the
+    displaced seed at u0 +- SWITCH_DU0 is tried instead (this recovers
+    branches switched from off the neutral branch).  A result is accepted
+    only when it leaves the parent branch.
 
     Raises:
         ValueError: called on a fold (no distinct branch emanates there).
@@ -625,23 +611,17 @@ def switch_branch(
     def finish(x_new, u0_new):
         # Keep the outward secant as the seed tangent: refining it through
         # the bordered solve this close to the singular point can snap onto
-        # the parent branch's tangent instead.
-        z_ev = np.concatenate([event.x, [event.u0]])
-        z_new = np.concatenate([x_new, [u0_new]])
-        outward = z_new - z_ev
-        nrm = np.linalg.norm(outward)
-        if nrm == 0:
-            outward = np.concatenate([event.kernel, [0.0]])
-        else:
-            outward = outward / nrm
-        return branch_point_at(spec, x_new, u0_new, outward)
+        # the parent branch's tangent instead.  It is nonzero: the solve keeps
+        # a SWITCH_EPS kernel part, the fallback moves u0 by SWITCH_DU0.
+        outward = np.concatenate([x_new - event.x, [u0_new - event.u0]])
+        return branch_point_at(spec, x_new, u0_new, outward / np.linalg.norm(outward))
 
-    offset = direction * eps * event.kernel
+    offset = direction * SWITCH_EPS * event.kernel
     solved = _fixed_amplitude_solve(spec, event, offset)
     if solved is not None and off_parent(*solved):
         return finish(*solved)
 
-    for signed_du0 in (du0, -du0):
+    for signed_du0 in (SWITCH_DU0, -SWITCH_DU0):
         u0_try = event.u0 + signed_du0
         try:
             candidate = newton_equilibrium(spec, event.x + offset, u0_try)
@@ -673,20 +653,11 @@ def _sign_pattern(x: np.ndarray) -> str:
     )
 
 
-def default_label(point: BranchPoint) -> str:
-    return _sign_pattern(point.x)
-
-
 def _label_branch(branch: Branch, labeler) -> str:
-    labeler = labeler or default_label
-    point = None
-    for p in reversed(branch.points):
-        if p.stable:
-            point = p
-            break
-    if point is None:
-        point = branch.points[-1]
-    return labeler(point)
+    """Label of the last stable point (else the last point): ``labeler``'s,
+    or the sign pattern of its state."""
+    point = next((p for p in reversed(branch.points) if p.stable), branch.points[-1])
+    return labeler(point) if labeler else _sign_pattern(point.x)
 
 
 def diagram(
@@ -808,11 +779,11 @@ def _reflect(branch: Branch, seed: BranchPoint, d: np.ndarray) -> Branch:
     return Branch(points=points, events=events)
 
 
-def _already_covered(branches, point: BranchPoint, tol: float = CLOSURE_TOL) -> bool:
+def _already_covered(branches, point: BranchPoint) -> bool:
     """True when a previously traced branch passes through ``point``."""
     z = np.concatenate([point.x, [point.u0]])
     for branch in branches:
         pts = np.array([np.concatenate([p.x, [p.u0]]) for p in branch.points])
-        if np.any(_polyline_distances(pts, z)[0] <= tol):
+        if np.any(_polyline_distances(pts, z)[0] <= CLOSURE_TOL):
             return True
     return False

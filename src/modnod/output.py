@@ -32,20 +32,16 @@ def branches_to_csv(branches, n_states: int) -> str:
     header += ["leading_jac_eig", "stable", "event_kind"]
     lines = [",".join(header)]
     for branch in branches:
-        rows = []
         for idx, p in enumerate(branch.points):
-            rows.append(
-                (p.u0, [branch.label, str(idx), _fmt(p.u0)]
-                 + [_fmt(v) for v in p.x]
-                 + [_fmt(p.leading_jac_eig), str(p.stable).lower(), ""])
-            )
+            lines.append(",".join(
+                [branch.label, str(idx), _fmt(p.u0)] + [_fmt(v) for v in p.x]
+                + [_fmt(p.leading_jac_eig), str(p.stable).lower(), ""]
+            ))
         for e in branch.events:
-            rows.append(
-                (e.u0, [branch.label, "-1", _fmt(e.u0)]
-                 + [_fmt(v) for v in e.x]
-                 + [_fmt(e.eigenvalue), "", e.kind.value])
-            )
-        lines += [",".join(cells) for _, cells in rows]
+            lines.append(",".join(
+                [branch.label, "-1", _fmt(e.u0)] + [_fmt(v) for v in e.x]
+                + [_fmt(e.eigenvalue), "", e.kind.value]
+            ))
     return "\n".join(lines) + "\n"
 
 
@@ -75,10 +71,9 @@ _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 62, 16, 16, 46
 
 
-def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / n
+def _ticks(lo, hi):
+    """About five round tick values in [lo, hi] (lo < hi)."""
+    raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min(s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     first = np.ceil(lo / step) * step
@@ -185,12 +180,10 @@ def branches_to_svg(branches, projection, ylabel: str, timestamp: str | None = N
     # event markers on top
     for _, _, evs in series:
         for u, v, e in evs:
-            color = _EVENT_COLORS.get(e.kind.value, "#7f7f7f")
-            fill = color
-            detail = getattr(e, "detail", None)
-            if detail is not None and getattr(detail, "classification", None) is not None:
-                if detail.classification.value == "SubcriticalPitchfork":
-                    fill = "white"
+            color = _EVENT_COLORS[e.kind.value]
+            subcritical = (e.detail is not None
+                           and e.detail.classification.value == "SubcriticalPitchfork")
+            fill = "white" if subcritical else color
             out.append(
                 f'<circle cx="{sx(u):.2f}" cy="{sy(v):.2f}" r="4" '
                 f'fill="{fill}" stroke="{color}" stroke-width="1.5">'

@@ -35,7 +35,7 @@ GAP_TOL = 1e-9
 class EigenTriple:
     """A simple real eigenvalue of A with its right/left eigenvectors.
 
-    Normalization: ``norm(v_max) = 1`` unless rescaled, and always
+    Normalization: ``norm(v_max) = 1`` unless max-entry normalized, and always
     ``dot(w_max, v_max) = 1``.  The sign is fixed so the largest-magnitude
     entry of v_max is positive, which keeps branch labels and diagrams
     reproducible.
@@ -54,11 +54,6 @@ class EigenTriple:
     w_max: np.ndarray
     u0_star: float
     spectral_gap: float
-
-    def rescaled(self, scale: float) -> "EigenTriple":
-        """Rescale v_max by ``scale`` (and w_max by 1/scale) so the pairing
-        dot(w_max, v_max) = 1 is preserved."""
-        return replace(self, v_max=self.v_max * scale, w_max=self.w_max / scale)
 
 
 def full_spectrum(A) -> np.ndarray:
@@ -184,7 +179,8 @@ def max_entry_normalized(eig: EigenTriple) -> EigenTriple:
 
     This is the normalization under which reduced-map derivatives are
     reported: for an all-ones kernel it makes v_max the literal ones
-    vector, so coefficients refer to per-node opinion amplitude.
+    vector, so coefficients refer to per-node opinion amplitude.  w_max is
+    scaled inversely, so dot(w_max, v_max) = 1 still holds.
     """
-    peak = float(np.max(np.abs(eig.v_max)))
-    return eig.rescaled(1.0 / peak)
+    scale = 1.0 / float(np.max(np.abs(eig.v_max)))
+    return replace(eig, v_max=eig.v_max * scale, w_max=eig.w_max / scale)

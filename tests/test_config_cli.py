@@ -258,12 +258,38 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
         assert f"ValidationError: params.{key}:" in capsys.readouterr().err
 
+    # a key that no command reads is a typo, not a silently applied default
+    for command, params, where in [
+        ("simulate", {"t_ned": 5}, "params"),
+        ("diagram", {"u0_range": [0.0, 1.5], "depht": 3}, "params"),
+        ("diagram", {"u0_range": [0.0, 1.5], "step": {"maxx": 0.01}}, "params.step"),
+    ]:
+        cfg = write_config(tmp_path, {"scenario": {"name": "two_node"}, "params": params})
+        assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+        assert f"ValidationError: {where}: unknown key(s)" in capsys.readouterr().err
+
+
+def test_cli_commands_share_one_config(tmp_path):
+    # README's example config: every command accepts the keys the others read
+    cfg = write_config(tmp_path, {
+        "scenario": {"name": "two_node", "m_strength": 1.0, "n": 2},
+        "params": {"u0_range": [0.0, 1.5], "projection": "v_max"},
+        "seed": 0,
+    })
+    for command in ("diagram", "reduce", "simulate", "equilibrium", "analyze"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet", "--no-svg"]) == 0
+        assert (out / "spec.json").exists()
+
 
 def test_cli_scenario_list(capsys):
     assert main(["scenario", "list"]) == 0
     out = capsys.readouterr().out
     for name in ("two_node", "influencer_ring", "drive_steer"):
         assert name in out
+    with pytest.raises(SystemExit) as exc:
+        main(["scenario", "show"])
+    assert exc.value.code == 2
 
 
 def test_diagram_step_options_override_only_given_keys():

@@ -154,12 +154,33 @@ def test_switch_and_tangency_at_ring_pitchfork():
     ev = branch.events[0]
     v = leading_eigenpair(spec).v_max
     for direction in (1, -1):
-        pt = switch_branch(spec, ev, direction, eps=1e-2)
+        pt = switch_branch(spec, ev, direction)
         assert np.linalg.norm(vector_field(spec, pt.x, pt.u0)) < 1e-10
         assert np.linalg.norm(pt.x) > 1e-3
         assert direction * (pt.x @ v) > 0
         cosang = abs(pt.x @ v) / np.linalg.norm(pt.x)
         assert np.arccos(np.clip(cosang, -1, 1)) < 0.05
+
+
+def test_switch_falls_back_to_shifted_u0_off_the_neutral_branch():
+    # the event sits on branch "0-", away from the origin; pinning the kernel
+    # amplitude lands back on that branch (3e-12 and 7e-12 from it), so both
+    # switches come from the plain Newton solve at u0 +- SWITCH_DU0
+    spec = NetworkSpec(
+        A=np.array([[-1.8432753403983204, 0.0], [1.6334749234972028, 0.8868364984398546]]),
+        M=((1, 1, 2, -0.024591222255004562),), order=4,
+        saturation=Saturation.shifted(-1.8148498734377356), tau=2.760555732192475,
+    )
+    branches = diagram(spec, (0.02, 8.0))
+    assert {"--", "+-"} <= {b.label for b in branches}
+    (ev,) = [e for b in branches if b.label == "0-" for e in b.events
+             if e.kind == EventKind.UNCLASSIFIED]
+    assert abs(ev.u0 - 0.429735) < 1e-6
+    for direction in (1, -1):
+        pt = switch_branch(spec, ev, direction)
+        assert abs(abs(pt.u0 - ev.u0) - continuation.SWITCH_DU0) < 1e-15
+        assert np.linalg.norm(vector_field(spec, pt.x, pt.u0)) < 1e-10
+        assert np.linalg.norm(pt.x - newton_equilibrium(spec, ev.x, pt.u0)) > 1e-2
 
 
 def test_switch_fold_is_a_caller_error():
