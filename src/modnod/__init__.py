@@ -1,6 +1,6 @@
 """modnod: modulated nonlinear opinion dynamics.
 
-A small numpy/scipy library for a saturated opinion-formation model with
+A small numpy library for a saturated opinion-formation model with
 multiplicative (modulatory) network interactions: trajectory simulation,
 equilibrium continuation with bifurcation detection, Lyapunov-Schmidt
 reduction of steady-state singularities, and builders for the studied

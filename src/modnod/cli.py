@@ -10,6 +10,7 @@ logging level name for diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -253,6 +254,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modnod",

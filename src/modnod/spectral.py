@@ -3,7 +3,9 @@
 The neutral state loses stability where ``-1 + u0 * S'(0) * lambda`` crosses
 zero for the leading eigenvalue of A, i.e. at ``u0* = 1 / (S'(0) *
 lambda_max)``.  Because the Jacobian at the origin does not see the
-modulation coefficients, everything here reads only A and S'(0).
+modulation coefficients, everything here reads only A and S'(0).  Eigenpairs
+come from ``np.linalg.eig``; the left eigenvector w of a simple real lambda is
+the left singular vector of ``A - lambda * I`` for its least singular value.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass, replace
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateLeader, NonConvergence, NonFinite, NoStrictLeader
 from .model import NetworkSpec
@@ -63,10 +64,7 @@ def full_spectrum(A) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
-    try:
-        return np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
+    return _lapack(np.linalg.eigvals, A)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -75,12 +73,11 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[idx] < 0 else v
 
 
-def _eigen_data(A: np.ndarray):
+def _lapack(solver, A: np.ndarray):
     try:
-        vals, vl, vr = scipy.linalg.eig(A, left=True, right=True)
+        return solver(A)
     except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    return vals, vl, vr
+        raise NonConvergence(f"dense eigen/singular value iteration failed: {exc}") from exc
 
 
 def nearest_real(vals: np.ndarray, target: float, tol: float) -> int | None:
@@ -92,19 +89,18 @@ def nearest_real(vals: np.ndarray, target: float, tol: float) -> int | None:
     return None if dist[idx] == np.inf else idx
 
 
-def _triple(spec: NetworkSpec, vals, vl, vr, idx: int) -> EigenTriple:
+def _triple(spec: NetworkSpec, vals, vr, idx: int) -> EigenTriple:
     """EigenTriple for the real eigenvalue ``vals[idx]`` of spec.A."""
     lam = float(vals[idx].real)
     others = np.delete(vals, idx)
     gap = float(lam - np.max(others.real)) if others.size else np.inf
     v = _fix_sign(vr[:, idx].real.copy())
     v /= np.linalg.norm(v)
-    # scipy convention: vl.conj().T @ A = diag(vals) @ vl.conj().T
-    w = vl[:, idx].conj().real.copy()
+    w = _lapack(np.linalg.svd, spec.A - lam * np.eye(v.size))[0][:, -1]
     pairing = float(w @ v)
     if abs(pairing) < 1e-12:
         raise NoStrictLeader("left/right eigenvectors are numerically orthogonal")
-    w /= pairing
+    w = w / pairing + 0.0  # + 0.0 turns the SVD's signed zeros into 0.0
     sat_deriv0 = float(spec.saturation.derivative(0.0))
     return EigenTriple(
         lambda_max=lam,
@@ -121,14 +117,14 @@ def leading_eigenpair(spec: NetworkSpec) -> EigenTriple:
     Raises NoStrictLeader when the eigenvalue of largest real part is
     complex, repeated, or has spectral gap below GAP_TOL.
     """
-    vals, vl, vr = _eigen_data(spec.A)
+    vals, vr = _lapack(np.linalg.eig, spec.A)
     idx = int(np.argmax(vals.real))
     scale = max(1.0, float(np.max(np.abs(vals))))
     if abs(vals[idx].imag) > GAP_TOL * scale:
         raise NoStrictLeader(f"eigenvalue {vals[idx]} is not real")
-    if max(np.max(np.abs(vr[:, idx].imag)), np.max(np.abs(vl[:, idx].imag))) > 1e-12 * scale:
-        raise NoStrictLeader("eigenvectors of the leading eigenvalue are not real")
-    eig = _triple(spec, vals, vl, vr, idx)
+    if np.max(np.abs(vr[:, idx].imag)) > 1e-12 * scale:
+        raise NoStrictLeader("eigenvector of the leading eigenvalue is not real")
+    eig = _triple(spec, vals, vr, idx)
     if eig.spectral_gap <= GAP_TOL:
         raise NoStrictLeader(
             f"spectral gap {eig.spectral_gap:.3e} at eigenvalue {eig.lambda_max:.6g} "
@@ -144,7 +140,7 @@ def eigenpair_near(spec: NetworkSpec, target: float) -> EigenTriple:
     eigenvalue is simple; used to classify neutral-branch crossings of
     non-leading eigenvalues.
     """
-    vals, vl, vr = _eigen_data(spec.A)
+    vals, vr = _lapack(np.linalg.eig, spec.A)
     idx = nearest_real(vals, target, GAP_TOL)
     if idx is None:
         raise NoStrictLeader("matrix has no real eigenvalues")
@@ -153,7 +149,7 @@ def eigenpair_near(spec: NetworkSpec, target: float) -> EigenTriple:
     scale = max(1.0, float(np.max(np.abs(vals))))
     if others.size and np.min(np.abs(others - lam)) <= GAP_TOL * scale:
         raise NoStrictLeader(f"eigenvalue {lam:.6g} is not simple")
-    return _triple(spec, vals, vl, vr, idx)
+    return _triple(spec, vals, vr, idx)
 
 
 def critical_attention(spec: NetworkSpec) -> float:

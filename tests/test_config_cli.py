@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from xml.etree import ElementTree
 
 import numpy as np
@@ -290,6 +292,40 @@ def test_cli_scenario_list(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["scenario", "show"])
     assert exc.value.code == 2
+
+
+def test_cli_parser_serves_every_call_in_one_process(tmp_path, capsys):
+    from modnod.cli import _build_parser
+
+    help_text = _build_parser.__wrapped__().format_help()
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    bad = write_config(tmp_path, {"scenario": {"name": "two_node"}, "params": {"t_ned": 5}})
+    assert main(["analyze", "--config", bad, "--out", str(tmp_path), "--quiet"]) == 2
+    good = write_config(tmp_path, {"scenario": {"name": "two_node"}}, "good.json")
+    assert main(["analyze", "--config", good, "--out", str(tmp_path / "ok"), "--quiet"]) == 0
+    assert abs(json.loads((tmp_path / "ok" / "analysis.json").read_text())["lambda_max"] - 1) < 1e-12
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == help_text
+    assert _build_parser() is _build_parser()
+
+
+def test_cli_import_does_not_load_scipy():
+    # the runtime needs numpy only; scipy would double the CLI's cold start.
+    # The child inherits this environment (PYTHONPATH included) and must
+    # import the same modnod as this process.
+    import modnod
+
+    code = ("import sys, modnod.cli; print(modnod.__file__); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == [modnod.__file__, "[]"]
 
 
 def test_diagram_step_options_override_only_given_keys():

@@ -79,6 +79,34 @@ def test_eigen_invariants_random_matrices():
         for name in ("lambda_max", "v_max", "w_max", "u0_star", "spectral_gap"):
             np.testing.assert_array_equal(getattr(near, name), getattr(eig, name))
 
+    # ill-conditioned non-normal A = S D S^-1 (S's diagonal scaled by up to
+    # 1e-6), checked on every simple real eigenvalue, not only the leader
+    checked = 0
+    while checked < 300:
+        n = int(rng.integers(2, 6))
+        S = rng.uniform(-1, 1, (n, n))
+        S[np.diag_indices(n)] *= 10.0 ** rng.uniform(-6, 0, n)
+        D = rng.uniform(-2, 2, n)
+        A = S @ np.diag(D) @ np.linalg.inv(S)
+        spec = NetworkSpec(A=A)
+        try:
+            triples = [leading_eigenpair(spec)]
+        except NoStrictLeader:
+            continue
+        checked += 1
+        for lam in D:
+            try:
+                triples.append(eigenpair_near(spec, lam))
+            except NoStrictLeader:
+                pass
+        norm_a = np.linalg.norm(A, 2)
+        for eig in triples:
+            w, v, lam = eig.w_max, eig.v_max, eig.lambda_max
+            assert np.linalg.norm(w @ A - lam * w) <= 1e-12 * max(1.0, norm_a) * np.linalg.norm(w)
+            # w @ v rounds to a few ulps of |w| @ |v|, which grows with the
+            # eigenvalue's condition number
+            assert abs(w @ v - 1.0) <= 1e-12 * max(1.0, np.abs(w) @ np.abs(v))
+
 
 def test_no_strict_leader_cases():
     with pytest.raises(NoStrictLeader):
