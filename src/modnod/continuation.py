@@ -9,19 +9,22 @@ tangent predictor plus Newton correction of the bordered system
     [ t . (z - z_pred) ],   [ t_x^T  t_u0 ],
 
 which stays well conditioned through folds where the plain Jacobian turns
-singular.  Steady-state bifurcations are located by monitoring the real
-Jacobian eigenvalue closest to zero between consecutive points and bisecting
-the bracketing segment; folds additionally reverse the u0 component of the
-branch tangent.
+singular.  Steady-state bifurcations flip the sign of det J (an odd number
+of real eigenvalues crosses zero); bisection on that sign refines them until
+the real eigenvalue nearest zero is below EVENT_EIG_TOL.  Folds additionally
+reverse the u0 component of the branch tangent.
 
-Every corrector iterate takes one ``model.linearize`` (F, J and F_u0 from one
-build of the gains), and the corrector hands the converged point's J and
-F_u0 on: the tangent solve reuses them, and one ``eigvals`` of that J gives
-both the point's stability (leading eigenvalue) and its event test value,
-which event detection and bisection read instead of re-evaluating.  All
-bordered systems go through ``_bordered_solve``; step-control factors,
-tolerances and branch-switch offsets are module constants, not
-``StepParams`` fields or keyword arguments.
+One corrector, ``_bordered_correct``, makes every bordered Newton solve of
+tracing and switching (steps along the tangent, the landing on the u0
+boundary, the event bisection and the switch solve), and every tracing
+correction that converges becomes a point.  Each iterate takes one
+``model.linearize`` (F, J and F_u0 from one build of the gains), and the
+corrector hands the converged point's J and F_u0 on: the tangent solve
+reuses them, and one ``eigvals`` of that J gives both the point's stability
+(leading eigenvalue) and the sign of det J, which event detection reads
+instead of re-evaluating.  All bordered systems go through
+``_bordered_solve``; step-control factors, tolerances and branch-switch
+offsets are module constants, not ``StepParams`` fields or keyword arguments.
 
 Mirror branches are reflected, not traced.  A flippable block is a connected
 component of the graph of A (a_ij != 0, i != j) on which b is zero and, for
@@ -101,7 +104,9 @@ class EventKind(str, Enum):
 
 @dataclass(frozen=True)
 class StepParams:
-    """Pseudo-arclength step bounds and point budget."""
+    """Pseudo-arclength step bounds and point budget.  ``max_step`` bounds
+    the step h along the unit tangent, which the corrector keeps; the chord
+    between consecutive points can exceed h by the curvature term."""
 
     initial: float = 0.02
     min_step: float = 1e-5
@@ -129,10 +134,10 @@ class BranchPoint:
     leading_jac_eig: float
     stable: bool
     tangent: np.ndarray  # unit (N+1)-vector in (x, u0) space
-    #: event test function: the real Jacobian eigenvalue of smallest
-    #: magnitude, NaN when none is real; None when not evaluated (a point
-    #: built by hand), in which case detect_events evaluates it
-    test_eig: float | None = None
+    #: event test function: the sign of det J (+1, -1, or 0 on a zero
+    #: eigenvalue); None when not evaluated (a point built by hand), in
+    #: which case detect_events evaluates it
+    det_sign: float | None = None
 
 
 @dataclass
@@ -140,7 +145,7 @@ class BifurcationEvent:
     kind: EventKind
     u0: float
     x: np.ndarray
-    eigenvalue: float = 0.0       # refined test-function value
+    eigenvalue: float = 0.0       # real Jacobian eigenvalue nearest zero
     kernel: np.ndarray | None = None  # unit right null vector of J at the event
     detail: object | None = None  # reduction.LSReport for classified events
 
@@ -258,11 +263,10 @@ def _tangent(jac: np.ndarray, f_u0: np.ndarray, prev: np.ndarray) -> np.ndarray:
     return -t if t @ prev < 0 else t
 
 
-def _test_value(vals: np.ndarray) -> float:
-    """Real eigenvalue of smallest magnitude (signed) among ``vals``, NaN
-    when none is real."""
-    idx = nearest_real(vals, 0.0, REAL_EIG_TOL)
-    return np.nan if idx is None else float(vals[idx].real)
+def _det_sign(vals: np.ndarray) -> float:
+    """Sign of det J from the eigenvalues ``vals`` of a real J: a complex
+    pair contributes |lambda|^2 > 0, so only the real ones count."""
+    return float(np.prod(np.sign(vals.real[vals.imag == 0])))
 
 
 def _branch_point(x: np.ndarray, u0: float, tangent: np.ndarray, jac: np.ndarray) -> BranchPoint:
@@ -271,7 +275,7 @@ def _branch_point(x: np.ndarray, u0: float, tangent: np.ndarray, jac: np.ndarray
     vals = np.linalg.eigvals(jac)
     lead = float(np.max(vals.real))
     return BranchPoint(u0=float(u0), x=x, leading_jac_eig=lead, stable=lead < 0.0,
-                       tangent=tangent, test_eig=_test_value(vals))
+                       tangent=tangent, det_sign=_det_sign(vals))
 
 
 def branch_point_at(
@@ -327,15 +331,8 @@ def trace_branch(
     trail[0] = z
 
     while len(branch.points) < step.max_points:
-        z_pred = z + h * t
-        result = _bordered_correct(spec, z_pred, t)
-        accept = False
-        if result is not None:
-            z_new, iters, jac, f_u0 = result
-            dist = np.linalg.norm(z_new - z)
-            if dist <= step.max_step * (1.0 + 1e-9) and np.isfinite(dist):
-                accept = True
-        if not accept:
+        result = _bordered_correct(spec, z + h * t, t)
+        if result is None:
             if h <= step.min_step * (1.0 + 1e-12):
                 stalls += 1
                 if stalls >= MAX_STALLS:
@@ -345,16 +342,16 @@ def trace_branch(
             h = max(h * STEP_SHRINK, step.min_step)
             continue
         stalls = 0
+        z_new, iters, jac, f_u0 = result
 
         u0_new = z_new[n]
         if u0_new < lo - 1e-12 or u0_new > hi + 1e-12:
             boundary = lo if u0_new < lo else hi
             closed = _close_on_boundary(spec, z, z_new, boundary)
             if closed is not None:
-                x_b = closed[:n]
-                _, jac_b, f_u0_b = linearize(spec, x_b, boundary)
+                z_b, _, jac_b, f_u0_b = closed
                 branch.points.append(
-                    _branch_point(x_b, boundary, _tangent(jac_b, f_u0_b, t), jac_b)
+                    _branch_point(z_b[:n], boundary, _tangent(jac_b, f_u0_b, t), jac_b)
                 )
             break
         if _closes_loop(trail[: len(branch.points)], z, z_new):
@@ -401,18 +398,16 @@ def _closes_loop(trail, z, z_new) -> bool:
 
 
 def _close_on_boundary(spec, z_in, z_out, boundary):
-    """Land the final branch point exactly on the u0 boundary."""
+    """Land the final branch point exactly on the u0 boundary: the corrector
+    from the chord's crossing of the boundary, along e_u0.  Returns
+    ``_bordered_correct``'s (z, iterations, J, F_u0), or None."""
     n = spec.N
     span = z_out[n] - z_in[n]
     if abs(span) < 1e-14:
         return None
-    frac = (boundary - z_in[n]) / span
-    x_guess = z_in[:n] + frac * (z_out[:n] - z_in[:n])
-    try:
-        x_b = newton_equilibrium(spec, x_guess, boundary)
-    except (NewtonDiverged, SingularJacobian):
-        return None
-    return np.concatenate([x_b, [boundary]])
+    z_guess = z_in + (boundary - z_in[n]) / span * (z_out - z_in)
+    z_guess[n] = boundary
+    return _bordered_correct(spec, z_guess, np.eye(n + 1)[n])
 
 
 # ---------------------------------------------------------------------------
@@ -427,34 +422,35 @@ def _secant_point(spec, za, zb, s):
     return None if result is None else (result[0], result[2])
 
 
-def _refine_event(spec, za, zb, fa, fb):
-    """Bisect the segment [za, zb] on the near-zero real eigenvalue.
+def _refine_event(spec, za, zb, sa):
+    """Bisect the segment [za, zb], whose ends have det J of opposite sign
+    (``sa`` at za), on that sign.
 
-    Returns (z, eig, J) with |eig| <= EVENT_EIG_TOL and J the Jacobian at z,
-    or None when the sign change does not correspond to an actual crossing
-    (the smallest-magnitude eigenvalue can change identity discontinuously
-    along a branch).
+    Returns (z, eig, J) with eig the real Jacobian eigenvalue nearest zero,
+    |eig| <= EVENT_EIG_TOL, and J the Jacobian at z; after 30 halvings the
+    midpoint with the smallest such |eig| when that is <= 1e-6; None when a
+    correction fails.
     """
-    sa, sb = 0.0, 1.0
-    best = None  # (z, eig, J) with the smallest |eig| so far
+    lo, hi = 0.0, 1.0
+    best = (None, np.inf, None)  # (z, eig, J) with the smallest |eig| so far
     for _ in range(30):
-        sm = 0.5 * (sa + sb)
-        corrected = _secant_point(spec, za, zb, sm)
+        mid = 0.5 * (lo + hi)
+        corrected = _secant_point(spec, za, zb, mid)
         if corrected is None:
             return None
         zm, jac = corrected
-        fm = _test_value(np.linalg.eigvals(jac))
-        if not np.isfinite(fm):
-            return None
-        if best is None or abs(fm) < abs(best[1]):
-            best = (zm, fm, jac)
-        if abs(fm) <= EVENT_EIG_TOL:
-            return zm, fm, jac
-        if fa * fm < 0:
-            sb, fb = sm, fm
+        vals = np.linalg.eigvals(jac)
+        idx = nearest_real(vals, 0.0, REAL_EIG_TOL)
+        eig = np.nan if idx is None else float(vals[idx].real)
+        if abs(eig) < abs(best[1]):  # False when no eigenvalue is real
+            best = (zm, eig, jac)
+        if abs(eig) <= EVENT_EIG_TOL:
+            return zm, eig, jac
+        if sa * _det_sign(vals) < 0:
+            hi = mid
         else:
-            sa, fa = sm, fm
-    if best is not None and abs(best[1]) <= 1e-6:
+            lo = mid
+    if abs(best[1]) <= 1e-6:
         return best
     return None
 
@@ -488,34 +484,30 @@ def _classify_neutral_event(spec, u0_event):
 def detect_events(spec: NetworkSpec, points) -> list:
     """Scan consecutive branch points for bifurcations.
 
-    Two test functions are monitored: (a) the real Jacobian eigenvalue of
-    smallest magnitude and (b) the u0 component of the branch tangent.  A
-    sign change in (a) flags a steady-state bifurcation candidate, refined
-    by bisection; a simultaneous sign change in (b) marks a fold.  Neutral-
-    branch candidates are classified through the Lyapunov-Schmidt reduction,
-    remaining ones stay Unclassified.
+    Two test functions are monitored: (a) the sign of det J and (b) the u0
+    component of the branch tangent.  A sign change in (a) means an odd
+    number of real eigenvalues crossed zero: a steady-state bifurcation
+    candidate, refined by bisection on that sign; a simultaneous sign change
+    in (b) marks a fold.  Neutral-branch candidates are classified through
+    the Lyapunov-Schmidt reduction, remaining ones stay Unclassified.
     """
     events = []
     if len(points) < 2:
         return events
-    tests = [
-        p.test_eig if p.test_eig is not None
-        else _test_value(np.linalg.eigvals(linearize(spec, p.x, p.u0)[1]))
+    signs = [
+        p.det_sign if p.det_sign is not None
+        else _det_sign(np.linalg.eigvals(linearize(spec, p.x, p.u0)[1]))
         for p in points
     ]
     for i in range(len(points) - 1):
-        fa, fb = tests[i], tests[i + 1]
-        if not (np.isfinite(fa) and np.isfinite(fb)) or fa * fb >= 0:
+        if signs[i] * signs[i + 1] >= 0:
             continue
         pa, pb = points[i], points[i + 1]
         za = np.concatenate([pa.x, [pa.u0]])
         zb = np.concatenate([pb.x, [pb.u0]])
-        refined = _refine_event(spec, za, zb, fa, fb)
+        refined = _refine_event(spec, za, zb, signs[i])
         if refined is None:
-            log.debug(
-                "discarding spurious eigenvalue sign change on [%0.6g, %0.6g]",
-                pa.u0, pb.u0,
-            )
+            log.debug("no refined crossing on [%0.6g, %0.6g]", pa.u0, pb.u0)
             continue
         z_ev, eig_ev, jac_ev = refined
         x_ev, u0_ev = z_ev[:-1], float(z_ev[-1])
@@ -553,28 +545,6 @@ def detect_events(spec: NetworkSpec, points) -> list:
 # Branch switching
 
 
-def _fixed_amplitude_solve(spec, event, offset):
-    """Solve F(x_event + offset + y, u0) = 0 with y orthogonal to the
-    kernel, unknowns (y, u0).  Pinning the kernel amplitude keeps Newton
-    from sliding back into the parent equilibrium's basin."""
-    n = spec.N
-    k = event.kernel
-    y = np.zeros(n)
-    u0 = event.u0
-    for _ in range(30):
-        x = event.x + offset + y
-        f, jac, f_u0 = linearize(spec, x, u0)
-        res = np.concatenate([f, [k @ y]])
-        if np.linalg.norm(res) < NEWTON_TOL:
-            return x, u0
-        delta = _bordered_solve(jac, f_u0, np.append(k, 0.0), -res)
-        if delta is None:
-            return None
-        y = y + delta[:n]
-        u0 = u0 + delta[n]
-    return None
-
-
 def switch_branch(
     spec: NetworkSpec,
     event: BifurcationEvent,
@@ -583,8 +553,8 @@ def switch_branch(
     """Jump from a steady-state bifurcation onto the emanating branch.
 
     The seed displacement is direction * SWITCH_EPS along the kernel
-    direction at the event.  The emanating point is found by a bordered
-    Newton solve that pins the kernel amplitude at SWITCH_EPS and frees u0;
+    direction at the event.  The emanating point is found by the corrector
+    along (kernel, 0), which pins the kernel amplitude and frees u0;
     when that lands back on the parent branch, a plain Newton solve from the
     displaced seed at u0 +- SWITCH_DU0 is tried instead (this recovers
     branches switched from off the neutral branch).  A result is accepted
@@ -617,9 +587,12 @@ def switch_branch(
         return branch_point_at(spec, x_new, u0_new, outward / np.linalg.norm(outward))
 
     offset = direction * SWITCH_EPS * event.kernel
-    solved = _fixed_amplitude_solve(spec, event, offset)
-    if solved is not None and off_parent(*solved):
-        return finish(*solved)
+    solved = _bordered_correct(spec, np.append(event.x + offset, event.u0),
+                               np.append(event.kernel, 0.0), max_iter=30)
+    if solved is not None:
+        x_new, u0_new = solved[0][:-1], solved[0][-1]
+        if off_parent(x_new, u0_new):
+            return finish(x_new, u0_new)
 
     for signed_du0 in (SWITCH_DU0, -SWITCH_DU0):
         u0_try = event.u0 + signed_du0

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import modnod.continuation as continuation
 from modnod import (
@@ -146,6 +146,62 @@ def test_event_locations_track_reciprocal_eigenvalues_any_modulation():
         got = sorted(e.u0 for e in branch.events)
         assert len(got) == len(expected)
         assert max(abs(g - e) for g, e in zip(got, expected)) < 1e-6
+
+
+#: a 4-node spec whose neutral branch crosses at 1/lambda = 0.445696, 0.505990
+#: and 0.930379; the real eigenvalue nearest zero hides one of the first two
+#: crossings at max_step 0.1 and 0.05 (det J does not)
+HIDDEN_CROSSING_SPEC = NetworkSpec(
+    A=np.array([
+        [0.6668418157514714, 1.2496418580218356, -0.524105230355556, -0.016308014249857564],
+        [0.8737718617099577, -1.6933257523084102, 0.49301731645916647, -0.7148737596975664],
+        [0.0, 0.13067815375662317, 1.9696256711774338, 0.0],
+        [0.0, 0.0, 0.0007696311743327766, 2.243767734485041],
+    ]),
+    M=((1, 4, 4, -0.37643037655787204), (2, 4, 1, -2.488370493231328),
+       (3, 1, 3, -0.25555233241781994), (4, 1, 4, -0.3111345222200068),
+       (4, 2, 4, 1.2420164042950455), (4, 3, 1, 1.4138243909064385)),
+    order=4, tau=0.6358268277658605,
+)
+
+
+@st.composite
+def neutral_specs(draw):
+    """Specs with b = 0 and odd S (so x = 0 is an equilibrium for every u0):
+    N = 2-5, up to three modulation triplets, orders 1-3."""
+    n = draw(st.integers(2, 5))
+    weight = st.floats(-2.0, 2.0)
+    A = np.array(draw(st.lists(weight, min_size=n * n, max_size=n * n))).reshape(n, n)
+    index = st.integers(1, n)
+    M = draw(st.lists(st.tuples(index, index, index, weight), max_size=3,
+                      unique_by=lambda m: m[:3]))
+    return NetworkSpec(A=A, M=tuple(M), order=draw(st.integers(1, 3)),
+                       tau=draw(st.floats(0.25, 0.5)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(neutral_specs(), st.sampled_from([0.1, 0.05, 0.02]))
+@example(HIDDEN_CROSSING_SPEC, 0.1)
+@example(HIDDEN_CROSSING_SPEC, 0.05)
+@example(HIDDEN_CROSSING_SPEC, 0.02)
+def test_neutral_events_sit_exactly_at_reciprocal_eigenvalues(spec, max_step):
+    # on x = 0, J = (u0 A - I) / tau: a real eigenvalue lambda > 0 of A gives a
+    # Jacobian eigenvalue (u0 lambda - 1) / tau crossing zero at u0 = 1/lambda,
+    # and nothing else crosses zero through the real axis
+    lo, hi = 0.02, 2.0
+    lam = np.linalg.eigvals(spec.A)
+    lam = lam[(lam.imag == 0) & (lam.real > 0)].real
+    crossings = np.sort(1.0 / lam[(1.0 / lam > lo) & (1.0 / lam < hi)])
+    assume(np.all(np.diff(crossings) > max_step))
+    branch = neutral_branch(spec, (lo, hi), max_step=max_step)
+    got = np.sort([e.u0 for e in branch.events])
+    assert len(got) == len(crossings), (got, crossings)
+    # refinement stops at |(u0 lambda - 1) / tau| <= EVENT_EIG_TOL, i.e. within
+    # EVENT_EIG_TOL * tau / lambda of 1/lambda, which is <= 1e-8 here since
+    # tau <= 0.5 and 1/lambda < 2 (tau = 0.64 and 1/lambda < 0.94 for the example)
+    bound = continuation.EVENT_EIG_TOL * spec.tau * crossings
+    assert np.all(np.abs(got - crossings) <= bound), (got, crossings)
+    assert np.all(bound <= 1e-8)
 
 
 def test_switch_and_tangency_at_ring_pitchfork():
@@ -439,3 +495,38 @@ def test_every_diagram_branch_equals_its_own_trace(name, params, u0_range):
         assert len(branch.events) == len(ref.events)
         for p, q in zip(branch.points + branch.events, ref.points + ref.events):
             assert_same(p, q)
+
+
+@pytest.mark.parametrize("name,params,u0_range", SCENARIO_DIAGRAMS)
+def test_every_converged_correction_becomes_a_point(name, params, u0_range, monkeypatch):
+    # retrace every diagram branch with events off (their bisection corrects
+    # secant points, which are not branch points); only the last converged
+    # correction of a trace may be dropped: the one that leaves the u0 range
+    # or closes a loop
+    spec = build_scenario(name, **params)
+    switched = replace(StepParams(), initial=min(StepParams().initial,
+                                                 0.5 * continuation.SWITCH_EPS))
+    branches = diagram(spec, u0_range)
+    converged = []
+    correct = continuation._bordered_correct
+
+    def recording(*args, **kwargs):
+        result = correct(*args, **kwargs)
+        if result is not None:
+            converged.append(result[0])
+        return result
+
+    monkeypatch.setattr(continuation, "_bordered_correct", recording)
+    monkeypatch.setattr(continuation, "detect_events", lambda spec, points: [])
+    lo, hi = u0_range
+    for i, branch in enumerate(branches):
+        converged.clear()
+        ref = trace_branch(spec, branch.points[0], u0_range,
+                           StepParams() if i == 0 else switched)
+        points = {tuple(np.append(p.x, p.u0)) for p in ref.points[1:]}
+        dropped = [z for z in converged if tuple(z) not in points]
+        assert len(dropped) <= 1, f"{branch.label}: {len(dropped)} corrections dropped"
+        for z in dropped:
+            trail = np.array([np.append(p.x, p.u0) for p in ref.points])
+            assert not lo <= z[-1] <= hi or continuation._polyline_distances(
+                trail, z)[0].min() <= continuation.CLOSURE_TOL
