@@ -2,9 +2,10 @@
 
 Subcommands: simulate | equilibrium | diagram | reduce | analyze |
 scenario list.  Each takes a JSON run configuration (--config PATH, or
-stdin) and writes its outputs under --out.  Exit codes: 0 success, 1
-domain/numeric failure, 2 configuration failure.  Set MODNOD_LOG to a
-logging level name for diagnostics.
+stdin) and returns its files; ``main`` writes them and spec.json under
+--out once the command has succeeded, so a failing one writes nothing.
+Exit codes: 0 success, 1 domain/numeric failure, 2 configuration failure.
+Set MODNOD_LOG to a logging level name for diagnostics.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,22 +33,6 @@ log = logging.getLogger("modnod.cli")
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_CONFIG = 2
-
-
-def _write(path: Path, text: str, quiet: bool):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    if not quiet:
-        print(f"wrote {path}")
-
-
-def _dump_spec(cfg: RunConfig, outdir: Path, quiet: bool):
-    _write(outdir / "spec.json", json.dumps(spec_to_json(cfg.spec), indent=2) + "\n", quiet)
-
-
-def _summary(quiet: bool, line: str):
-    if not quiet:
-        print(line)
 
 
 def _param(cfg: RunConfig, key: str, cast, default):
@@ -67,10 +53,10 @@ def _positive(value) -> float:
 
 
 def _u0_range(value) -> tuple:
-    lo, hi = map(float, value)
-    if not -np.inf < lo < hi < np.inf:
-        raise ValueError(f"expected finite [lo, hi] with lo < hi, got {value!r}")
-    return lo, hi
+    u0 = np.asarray(value, dtype=float)
+    if u0.shape != (2,) or not -np.inf < u0[0] < u0[1] < np.inf:
+        raise ValueError(f"expected two finite numbers [lo, hi] with lo < hi, got {value!r}")
+    return float(u0[0]), float(u0[1])
 
 
 def _state(cfg: RunConfig, default) -> np.ndarray:
@@ -88,20 +74,17 @@ def _initial_state(cfg: RunConfig) -> np.ndarray:
     return scale * np.random.default_rng(cfg.seed).standard_normal(cfg.spec.N)
 
 
-def cmd_simulate(cfg: RunConfig, outdir: Path, args) -> int:
+def cmd_simulate(cfg: RunConfig, args) -> tuple:
     u0 = _param(cfg, "u0", float, 1.0)
     t_end = _param(cfg, "t_end", _positive, 50.0)
     dt = _param(cfg, "dt", _positive, None)
     traj = dynamics.integrate(cfg.spec, _initial_state(cfg), u0, t_end, dt)
-    _write(outdir / "trajectory.csv", trajectory_to_csv(traj), args.quiet)
-    _dump_spec(cfg, outdir, args.quiet)
     xf = traj.states[-1]
-    _summary(args.quiet,
-             f"u0 = {u0:g}, t_end = {t_end:g}, final state = {np.array2string(xf, precision=6)}")
-    return EXIT_OK
+    return ({"trajectory.csv": trajectory_to_csv(traj)},
+            f"u0 = {u0:g}, t_end = {t_end:g}, final state = {np.array2string(xf, precision=6)}")
 
 
-def cmd_equilibrium(cfg: RunConfig, outdir: Path, args) -> int:
+def cmd_equilibrium(cfg: RunConfig, args) -> tuple:
     u0 = _param(cfg, "u0", float, 1.0)
     x0 = _state(cfg, np.zeros(cfg.spec.N))
     x_star = continuation.newton_equilibrium(cfg.spec, x0, u0)
@@ -112,12 +95,9 @@ def cmd_equilibrium(cfg: RunConfig, outdir: Path, args) -> int:
         "leading_jac_eig": point.leading_jac_eig,
         "stable": point.stable,
     }
-    _write(outdir / "equilibrium.json", json.dumps(doc, indent=2) + "\n", args.quiet)
-    _dump_spec(cfg, outdir, args.quiet)
-    _summary(args.quiet,
-             f"u0 = {u0:g}, x* = {np.array2string(x_star, precision=6)}, "
-             f"stable = {point.stable}")
-    return EXIT_OK
+    return ({"equilibrium.json": doc},
+            f"u0 = {u0:g}, x* = {np.array2string(x_star, precision=6)}, "
+            f"stable = {point.stable}")
 
 
 #: params.step key -> (StepParams field, type); absent keys keep the default,
@@ -142,11 +122,12 @@ def _step_params(doc) -> continuation.StepParams:
 
 
 def _diagram_options(cfg: RunConfig) -> continuation.DiagramOptions:
-    return continuation.DiagramOptions(
+    options = continuation.DiagramOptions(
         step=_param(cfg, "step", _step_params, continuation.StepParams()),
-        max_depth=_param(cfg, "depth", int, 2),
         labeler=SCENARIOS[cfg.scenario]["labeler"] if cfg.scenario else None,
     )
+    # a float, like max_points, so that a fractional depth is rejected
+    return _param(cfg, "depth", lambda depth: replace(options, max_depth=float(depth)), options)
 
 
 def _projection(cfg: RunConfig):
@@ -169,27 +150,23 @@ def _projection(cfg: RunConfig):
         return (lambda x: x[0]), "x_1"
 
 
-def cmd_diagram(cfg: RunConfig, outdir: Path, args) -> int:
+def cmd_diagram(cfg: RunConfig, args) -> tuple:
     if "u0_range" not in cfg.params:
         raise ValidationError("params.u0_range: required, as [lo, hi]")
     branches = continuation.diagram(cfg.spec, _param(cfg, "u0_range", _u0_range, None),
                                     _diagram_options(cfg))
-    _write(outdir / "diagram.csv", branches_to_csv(branches, cfg.spec.N), args.quiet)
+    files = {"diagram.csv": branches_to_csv(branches, cfg.spec.N)}
     if not args.no_svg:
         proj, ylabel = _projection(cfg)
         stamp = None if args.no_timestamp else time.strftime("%Y-%m-%dT%H:%M:%S")
-        _write(outdir / "diagram.svg",
-               branches_to_svg(branches, proj, ylabel, stamp), args.quiet)
-    _dump_spec(cfg, outdir, args.quiet)
+        files["diagram.svg"] = branches_to_svg(branches, proj, ylabel, stamp)
     n_events = sum(len(b.events) for b in branches)
     kinds = sorted({e.kind.value for b in branches for e in b.events})
-    _summary(args.quiet,
-             f"{len(branches)} branches, {n_events} events"
-             + (f" ({', '.join(kinds)})" if kinds else ""))
-    return EXIT_OK
+    return (files, f"{len(branches)} branches, {n_events} events"
+            + (f" ({', '.join(kinds)})" if kinds else ""))
 
 
-def cmd_reduce(cfg: RunConfig, outdir: Path, args) -> int:
+def cmd_reduce(cfg: RunConfig, args) -> tuple:
     eig = spectral.leading_eigenpair(cfg.spec)
     spectral_eig = spectral.max_entry_normalized(eig)
     report = reduction.ls_derivatives(cfg.spec, spectral_eig)
@@ -204,16 +181,13 @@ def cmd_reduce(cfg: RunConfig, outdir: Path, args) -> int:
         "classification": report.classification.value,
         "kernel": report.kernel.tolist(),
     }
-    _write(outdir / "reduce.json", json.dumps(doc, indent=2) + "\n", args.quiet)
-    _dump_spec(cfg, outdir, args.quiet)
-    _summary(args.quiet,
-             f"u0* = {report.u0_star:g}, g_vv = {report.g_vv:.6g}, "
-             f"g_vu0 = {report.g_vu0:.6g}, g_vvv = {report.g_vvv:.6g}, "
-             f"classification = {report.classification.value}")
-    return EXIT_OK
+    return ({"reduce.json": doc},
+            f"u0* = {report.u0_star:g}, g_vv = {report.g_vv:.6g}, "
+            f"g_vu0 = {report.g_vu0:.6g}, g_vvv = {report.g_vvv:.6g}, "
+            f"classification = {report.classification.value}")
 
 
-def cmd_analyze(cfg: RunConfig, outdir: Path, args) -> int:
+def cmd_analyze(cfg: RunConfig, args) -> tuple:
     eig = spectral.leading_eigenpair(cfg.spec)
     u0_star = spectral.critical_attention(cfg.spec)
     spectrum = spectral.full_spectrum(cfg.spec.A)
@@ -226,12 +200,9 @@ def cmd_analyze(cfg: RunConfig, outdir: Path, args) -> int:
         "spectrum_real": spectrum.real.tolist(),
         "spectrum_imag": spectrum.imag.tolist(),
     }
-    _write(outdir / "analysis.json", json.dumps(doc, indent=2) + "\n", args.quiet)
-    _dump_spec(cfg, outdir, args.quiet)
-    _summary(args.quiet,
-             f"u0* = {u0_star:g}, lambda_max = {eig.lambda_max:g}, "
-             f"v_max = {np.array2string(eig.v_max, precision=6)}")
-    return EXIT_OK
+    return ({"analysis.json": doc},
+            f"u0* = {u0_star:g}, lambda_max = {eig.lambda_max:g}, "
+            f"v_max = {np.array2string(eig.v_max, precision=6)}")
 
 
 def cmd_scenario(args) -> int:
@@ -245,6 +216,8 @@ def cmd_scenario(args) -> int:
 #: every params key some command reads; one config can serve all commands
 _PARAM_KEYS = {"u0", "x0", "x0_scale", "t_end", "dt", "u0_range", "step", "depth", "projection"}
 
+#: command name -> function(cfg, args) returning (files, summary): files
+#: maps an output file name to its text, or to a document written as JSON
 _COMMANDS = {
     "simulate": cmd_simulate,
     "equilibrium": cmd_equilibrium,
@@ -288,14 +261,25 @@ def main(argv=None) -> int:
         unknown = set(cfg.params) - _PARAM_KEYS
         if unknown:
             raise ValidationError(f"params: unknown key(s) {sorted(unknown)}")
-        code = _COMMANDS[args.command](cfg, Path(args.out), args)
+        files, summary = _COMMANDS[args.command](cfg, args)
     except (ParseError, ValidationError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ModnodError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    return code
+
+    files["spec.json"] = spec_to_json(cfg.spec)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        text = content if isinstance(content, str) else json.dumps(content, indent=2) + "\n"
+        (outdir / name).write_text(text, encoding="utf-8")
+        if not args.quiet:
+            print(f"wrote {outdir / name}")
+    if not args.quiet:
+        print(summary)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -14,17 +14,18 @@ of real eigenvalues crosses zero); bisection on that sign refines them until
 the real eigenvalue nearest zero is below EVENT_EIG_TOL.  Folds additionally
 reverse the u0 component of the branch tangent.
 
-One corrector, ``_bordered_correct``, makes every bordered Newton solve of
-tracing and switching (steps along the tangent, the landing on the u0
-boundary, the event bisection and the switch solve), and every tracing
-correction that converges becomes a point.  Each iterate takes one
-``model.linearize`` (F, J and F_u0 from one build of the gains), and the
-corrector hands the converged point's J and F_u0 on: the tangent solve
-reuses them, and one ``eigvals`` of that J gives both the point's stability
-(leading eigenvalue) and the sign of det J, which event detection reads
-instead of re-evaluating.  All bordered systems go through
-``_bordered_solve``; step-control factors, tolerances and branch-switch
-offsets are module constants, not ``StepParams`` fields or keyword arguments.
+One corrector, ``_bordered_correct`` with its one budget CORRECTOR_ITERS,
+makes every bordered Newton solve of tracing and switching (steps along the
+tangent, the landing on the u0 boundary, the event bisection and the switch
+solve), and every tracing correction that converges becomes a point.  Each
+iterate takes one ``model.linearize`` (F, J and F_u0 from one build of the
+gains), and the corrector hands the converged point's J and F_u0 on: the
+tangent solve reuses them, and one ``eigvals`` of that J gives both the
+point's stability (leading eigenvalue) and the sign of det J, which event
+detection reads instead of re-evaluating.  A real eigenvalue is one with
+``imag == 0``.  All bordered systems go through ``_bordered_solve``;
+step-control factors, tolerances and branch-switch offsets are module
+constants, not ``StepParams`` fields or keyword arguments.
 
 Mirror branches are reflected, not traced.  A flippable block is a connected
 component of the graph of A (a_ij != 0, i != j) on which b is zero and, for
@@ -80,16 +81,13 @@ NEWTON_TOL = 1e-12
 EVENT_EIG_TOL = 1e-8
 #: entries smaller than this count as zero in branch sign-pattern labels
 LABEL_ZERO_TOL = 1e-6
-#: relative imaginary part below which a Jacobian eigenvalue counts as real
-REAL_EIG_TOL = 1e-8
 #: step control: grow by STEP_GROW after a correction taking at most
 #: FAST_ITERS of its CORRECTOR_ITERS Newton iterations, shrink by STEP_SHRINK
-#: after a failed one, raise StallError after MAX_STALLS underflows in a row
+#: after a failed one, raise StallError when one fails at min_step
 STEP_GROW = 1.3
 STEP_SHRINK = 0.5
 FAST_ITERS = 3
 CORRECTOR_ITERS = 8
-MAX_STALLS = 10
 #: branch-switch seed offset along the kernel, and in u0 for the fallback
 SWITCH_EPS = 1e-2
 SWITCH_DU0 = 5e-3
@@ -225,23 +223,19 @@ def _bordered_solve(jac: np.ndarray, col: np.ndarray, row: np.ndarray, rhs: np.n
     return z if np.isfinite(z).all() else None
 
 
-def _bordered_correct(
-    spec: NetworkSpec,
-    z0: np.ndarray,
-    direction: np.ndarray,
-    max_iter: int = CORRECTOR_ITERS,
-):
+def _bordered_correct(spec: NetworkSpec, z0: np.ndarray, direction: np.ndarray):
     """Newton-correct z = (x, u0) onto the branch within the hyperplane
-    through z0 orthogonal to ``direction``.  Returns (z, iterations, J, F_u0)
-    with the linearisation at the converged z, or None.
+    through z0 orthogonal to ``direction``, in at most CORRECTOR_ITERS
+    iterations.  Returns (z, iterations, J, F_u0) with the linearisation at
+    the converged z, or None.
     """
     n = spec.N
     z = z0.copy()
-    for it in range(max_iter + 1):
+    for it in range(CORRECTOR_ITERS + 1):
         res, jac, f_u0 = linearize(spec, z[:n], z[n])
         if np.linalg.norm(res) < NEWTON_TOL:
             return z, it, jac, f_u0
-        if it == max_iter:
+        if it == CORRECTOR_ITERS:
             return None
         dz = _bordered_solve(jac, f_u0, direction,
                              np.concatenate((-res, [-(direction @ (z - z0))])))
@@ -314,7 +308,8 @@ def trace_branch(
     The step shrinks on correction failure and grows after fast corrections
     (see STEP_GROW), inside [step.min_step, step.max_step].
 
-    Raises StallError after MAX_STALLS consecutive underflows.
+    Raises StallError when a correction fails at step.min_step: a retry
+    would repeat the same correction from the same point.
     """
     lo, hi = float(u0_range[0]), float(u0_range[1])
     if not lo < hi:
@@ -326,7 +321,6 @@ def trace_branch(
     z = np.concatenate([seed.x, [seed.u0]])
     t = seed.tangent.copy()
     h = step.initial
-    stalls = 0
     trail = np.empty((max(step.max_points, 1), n + 1))  # z of each point so far
     trail[0] = z
 
@@ -334,14 +328,9 @@ def trace_branch(
         result = _bordered_correct(spec, z + h * t, t)
         if result is None:
             if h <= step.min_step * (1.0 + 1e-12):
-                stalls += 1
-                if stalls >= MAX_STALLS:
-                    raise StallError(
-                        f"step underflowed {stalls} times near u0={z[n]:.6g}"
-                    )
+                raise StallError(f"correction failed at the minimum step near u0={z[n]:.6g}")
             h = max(h * STEP_SHRINK, step.min_step)
             continue
-        stalls = 0
         z_new, iters, jac, f_u0 = result
 
         u0_new = z_new[n]
@@ -414,33 +403,28 @@ def _close_on_boundary(spec, z_in, z_out, boundary):
 # Event detection
 
 
-def _secant_point(spec, za, zb, s):
-    """Correct the convex combination (1-s) za + s zb back onto the branch,
-    constraining along the secant so the parametrization survives folds."""
-    d = zb - za
-    result = _bordered_correct(spec, za + s * d, d / np.linalg.norm(d), max_iter=12)
-    return None if result is None else (result[0], result[2])
-
-
 def _refine_event(spec, za, zb, sa):
     """Bisect the segment [za, zb], whose ends have det J of opposite sign
-    (``sa`` at za), on that sign.
+    (``sa`` at za), on that sign.  Each midpoint is corrected back onto the
+    branch along the secant, so the parametrization survives folds.
 
     Returns (z, eig, J) with eig the real Jacobian eigenvalue nearest zero,
     |eig| <= EVENT_EIG_TOL, and J the Jacobian at z; after 30 halvings the
     midpoint with the smallest such |eig| when that is <= 1e-6; None when a
     correction fails.
     """
+    d = zb - za
+    secant = d / np.linalg.norm(d)
     lo, hi = 0.0, 1.0
     best = (None, np.inf, None)  # (z, eig, J) with the smallest |eig| so far
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        corrected = _secant_point(spec, za, zb, mid)
+        corrected = _bordered_correct(spec, za + mid * d, secant)
         if corrected is None:
             return None
-        zm, jac = corrected
+        zm, _, jac, _ = corrected
         vals = np.linalg.eigvals(jac)
-        idx = nearest_real(vals, 0.0, REAL_EIG_TOL)
+        idx = nearest_real(vals, 0.0)
         eig = np.nan if idx is None else float(vals[idx].real)
         if abs(eig) < abs(best[1]):  # False when no eigenvalue is real
             best = (zm, eig, jac)
@@ -458,7 +442,7 @@ def _refine_event(spec, za, zb, sa):
 def _kernel_vector(jac):
     """Unit right eigenvector of ``jac`` for its real eigenvalue nearest zero."""
     vals, vecs = np.linalg.eig(jac)
-    idx = nearest_real(vals, 0.0, REAL_EIG_TOL)
+    idx = nearest_real(vals, 0.0)
     if idx is None:
         return None
     v = vecs[:, idx].real
@@ -588,7 +572,7 @@ def switch_branch(
 
     offset = direction * SWITCH_EPS * event.kernel
     solved = _bordered_correct(spec, np.append(event.x + offset, event.u0),
-                               np.append(event.kernel, 0.0), max_iter=30)
+                               np.append(event.kernel, 0.0))
     if solved is not None:
         x_new, u0_new = solved[0][:-1], solved[0][-1]
         if off_parent(x_new, u0_new):
@@ -618,6 +602,11 @@ class DiagramOptions:
     step: StepParams = field(default_factory=StepParams)
     max_depth: int = 2
     labeler: object = None  # callable(BranchPoint) -> str
+
+    def __post_init__(self):
+        if not (float(self.max_depth).is_integer() and self.max_depth >= 0):
+            raise ValueError(f"max_depth must be an integer >= 0, got {self.max_depth!r}")
+        object.__setattr__(self, "max_depth", int(self.max_depth))  # the dataclass is frozen
 
 
 def _sign_pattern(x: np.ndarray) -> str:

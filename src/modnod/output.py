@@ -146,31 +146,20 @@ def branches_to_svg(branches, projection, ylabel: str, timestamp: str | None = N
         f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.0f})">{_escape(ylabel)}</text>'
     )
 
-    # branches: split into stable/unstable runs
+    # branches: split into stable/unstable runs at each change of stability;
+    # consecutive runs share the point where it changes
     for b_idx, (label, pts, evs) in enumerate(series):
         color = _PALETTE[b_idx % len(_PALETTE)]
-        run = []
-        run_stable = None
-
-        def flush():
-            if len(run) >= 2:
-                width = 2.0 if run_stable else 0.75
-                path = " ".join(f"{sx(u):.2f},{sy(v):.2f}" for u, v in run)
+        stable = [s for _, _, s in pts]
+        cuts = [0] + [k for k in range(1, len(pts)) if stable[k] != stable[k - 1]]
+        for a, b in zip(cuts, cuts[1:] + [len(pts) - 1]):
+            if b > a:  # a final run of one point draws nothing
+                width = 2.0 if stable[a] else 0.75
+                path = " ".join(f"{sx(u):.2f},{sy(v):.2f}" for u, v, _ in pts[a:b + 1])
                 out.append(
                     f'<polyline fill="none" stroke="{color}" '
                     f'stroke-width="{width}" points="{path}"/>'
                 )
-
-        for u, v, stable in pts:
-            if run_stable is None or stable == run_stable:
-                run.append((u, v))
-                run_stable = stable
-            else:
-                run.append((u, v))
-                flush()
-                run = [(u, v)]
-                run_stable = stable
-        flush()
         first_u, first_v, _ = pts[0]
         out.append(
             f'<text x="{sx(first_u) + 4:.2f}" y="{sy(first_v) - 4:.2f}" '

@@ -27,8 +27,8 @@ __all__ = [
     "max_entry_normalized",
 ]
 
-#: absolute tolerance on the spectral gap below which "simple real leading
-#: eigenvalue" cannot be certified numerically
+#: spectral gap (absolute) and distance to the nearest other eigenvalue
+#: (relative) below which a real eigenvalue is not a strict leader / simple
 GAP_TOL = 1e-9
 
 
@@ -80,11 +80,11 @@ def _lapack(solver, A: np.ndarray):
         raise NonConvergence(f"dense eigen/singular value iteration failed: {exc}") from exc
 
 
-def nearest_real(vals: np.ndarray, target: float, tol: float) -> int | None:
-    """Index of the real eigenvalue in ``vals`` nearest ``target`` (the first
-    on a tie; real: |imag| <= tol * max(1, max |vals|)), or None."""
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    dist = np.where(np.abs(vals.imag) <= tol * scale, np.abs(vals.real - target), np.inf)
+def nearest_real(vals: np.ndarray, target: float) -> int | None:
+    """Index of the real eigenvalue nearest ``target`` (the first on a tie)
+    among the eigenvalues ``vals`` of a real matrix, or None.  Real means
+    ``imag == 0``, which LAPACK's ``xGEEV`` returns for every real one."""
+    dist = np.where(vals.imag == 0, np.abs(vals.real - target), np.inf)
     idx = int(np.argmin(dist))
     return None if dist[idx] == np.inf else idx
 
@@ -115,15 +115,14 @@ def leading_eigenpair(spec: NetworkSpec) -> EigenTriple:
     """Leading eigenvalue of spec.A with right/left eigenvectors.
 
     Raises NoStrictLeader when the eigenvalue of largest real part is
-    complex, repeated, or has spectral gap below GAP_TOL.
+    complex (``imag != 0``, the rule of ``nearest_real``), repeated, or has
+    spectral gap below GAP_TOL.  numpy returns a real eigenvector column
+    for a real eigenvalue, so the eigenvector needs no test of its own.
     """
     vals, vr = _lapack(np.linalg.eig, spec.A)
     idx = int(np.argmax(vals.real))
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if abs(vals[idx].imag) > GAP_TOL * scale:
+    if vals[idx].imag != 0:
         raise NoStrictLeader(f"eigenvalue {vals[idx]} is not real")
-    if np.max(np.abs(vr[:, idx].imag)) > 1e-12 * scale:
-        raise NoStrictLeader("eigenvector of the leading eigenvalue is not real")
     eig = _triple(spec, vals, vr, idx)
     if eig.spectral_gap <= GAP_TOL:
         raise NoStrictLeader(
@@ -141,7 +140,7 @@ def eigenpair_near(spec: NetworkSpec, target: float) -> EigenTriple:
     non-leading eigenvalues.
     """
     vals, vr = _lapack(np.linalg.eig, spec.A)
-    idx = nearest_real(vals, target, GAP_TOL)
+    idx = nearest_real(vals, target)
     if idx is None:
         raise NoStrictLeader("matrix has no real eigenvalues")
     lam = vals[idx].real

@@ -245,6 +245,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     for command, params, key in [
         ("diagram", {"u0_range": ["a", "b"]}, "u0_range"),
         ("diagram", {"u0_range": [1.5, 0.2]}, "u0_range"),
+        ("diagram", {"u0_range": "05"}, "u0_range"),
+        ("diagram", {"u0_range": [0.0, 0.5, 1.5]}, "u0_range"),
+        ("diagram", {"u0_range": [0.0, 1.5], "depth": 0.5}, "depth"),
+        ("diagram", {"u0_range": [0.0, 1.5], "depth": -1}, "depth"),
         ("diagram", {"u0_range": [0.0, 1.5], "projection": "x_a"}, "projection"),
         ("diagram", {"u0_range": [0.0, 1.5], "depth": "x"}, "depth"),
         ("diagram", {"u0_range": [0.0, 1.5], "step": {"max": "a"}}, "step"),
@@ -269,6 +273,17 @@ def test_cli_exit_codes(tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": {"name": "two_node"}, "params": params})
         assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
         assert f"ValidationError: {where}: unknown key(s)" in capsys.readouterr().err
+
+
+def test_cli_failing_command_writes_nothing(tmp_path, capsys):
+    # the projection is checked only after the diagram is traced; no
+    # diagram.csv or spec.json may be left behind
+    cfg = write_config(tmp_path, {"scenario": {"name": "two_node"},
+                                  "params": {"u0_range": [0.0, 1.5], "projection": "x_9"}})
+    out = tmp_path / "out"
+    assert main(["diagram", "--config", cfg, "--out", str(out)]) == 2
+    assert "params.projection" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_commands_share_one_config(tmp_path):

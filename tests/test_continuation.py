@@ -316,9 +316,22 @@ def test_diagram_two_node_strong_third_order_modulation_is_pitchfork():
 def test_trace_stalls_when_correction_never_converges(monkeypatch):
     spec = build_two_node(0.0, 1)
     seed = branch_point_at(spec, np.zeros(2), 0.2)
-    monkeypatch.setattr(continuation, "_bordered_correct", lambda *a, **k: None)
+    steps = []
+
+    def failing(spec, z0, direction):
+        steps.append(np.linalg.norm(z0 - np.append(seed.x, seed.u0)))
+        return None
+
+    monkeypatch.setattr(continuation, "_bordered_correct", failing)
     with pytest.raises(StallError):
         continuation.trace_branch(spec, seed, (0.2, 1.0))
+    # halving from 0.02 reaches min_step 1e-5 on the 12th try; a retry at
+    # min_step would repeat the same correction, so there is none
+    step = StepParams()
+    assert len(steps) == 12
+    np.testing.assert_allclose(steps[0], step.initial, rtol=1e-12)
+    np.testing.assert_allclose(steps[-1], step.min_step, rtol=1e-9)
+    assert all(h > step.min_step * (1 + 1e-9) for h in steps[:-1])
 
 
 def test_detect_events_requires_two_points():
@@ -374,6 +387,17 @@ def test_step_params_reject_out_of_range_values(kwargs):
 def test_step_params_take_integral_point_budget():
     budget = StepParams(max_points=300.0).max_points
     assert budget == 300 and type(budget) is int
+
+
+@pytest.mark.parametrize("depth", [-1, 0.5, np.nan, "x"])
+def test_diagram_options_reject_bad_depth(depth):
+    with pytest.raises(ValueError):
+        DiagramOptions(max_depth=depth)
+
+
+def test_diagram_options_take_integral_depth():
+    depth = DiagramOptions(max_depth=0.0).max_depth
+    assert depth == 0 and type(depth) is int
 
 
 # -- sign-flip symmetry ------------------------------------------------------

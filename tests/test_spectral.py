@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modnod import (
     DegenerateLeader,
@@ -16,6 +17,7 @@ from modnod import (
     leading_eigenpair,
     max_entry_normalized,
 )
+from modnod.spectral import nearest_real
 
 
 def test_full_spectrum_identity():
@@ -154,6 +156,48 @@ def test_eigenpair_near_secondary_eigenvalue():
     # kernel lives in the steering pair
     assert np.max(np.abs(v[:2])) < 1e-12
     assert abs(abs(v[2]) - abs(v[3])) < 1e-12
+
+
+def test_nearest_real_skips_a_near_real_complex_pair():
+    # eigenvalues +-1e-10 i and 5: the pair sits at distance 0 from the
+    # target but is not real
+    J = np.array([[0.0, 1e-10, 0.0], [-1e-10, 0.0, 0.0], [0.0, 0.0, 5.0]])
+    vals = np.linalg.eigvals(J)
+    assert vals[nearest_real(vals, 0.0)] == 5.0
+    assert nearest_real(vals[vals.imag != 0], 0.0) is None
+
+
+@st.composite
+def mixed_spectrum_matrices(draw):
+    """Real S D S^-1 with D block-diagonal: real eigenvalues and complex
+    pairs a +- b i, b down to 1e-14 (near-real)."""
+    reals = draw(st.lists(st.floats(-2, 2), max_size=3))
+    pairs = draw(st.lists(st.tuples(st.floats(-2, 2), st.floats(-14, 0)),
+                          min_size=0 if reals else 1, max_size=2))
+    n = len(reals) + 2 * len(pairs)
+    D = np.zeros((n, n))
+    D[range(len(reals)), range(len(reals))] = reals
+    for k, (a, log_b) in enumerate(pairs):
+        i = len(reals) + 2 * k
+        D[i:i + 2, i:i + 2] = [[a, 10.0 ** log_b], [-(10.0 ** log_b), a]]
+    # strictly diagonally dominant (n <= 7), so S is invertible
+    S = np.eye(n) + np.reshape(draw(st.lists(st.floats(-0.1, 0.1), min_size=n * n,
+                                             max_size=n * n)), (n, n))
+    return S @ D @ np.linalg.inv(S)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_spectrum_matrices(), st.floats(-3, 3))
+def test_nearest_real_returns_only_real_eigenvalues(A, target):
+    vals = np.linalg.eigvals(A)
+    real = vals.imag == 0
+    for t in [target, *vals.real]:  # the real part of a pair is the hard target
+        idx = nearest_real(vals, t)
+        if not real.any():
+            assert idx is None
+            continue
+        assert vals[idx].imag == 0
+        assert abs(vals[idx].real - t) == np.min(np.abs(vals.real[real] - t))
 
 
 def test_max_entry_normalized_ring_gives_ones():
