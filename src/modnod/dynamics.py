@@ -32,18 +32,18 @@ __all__ = ["Trajectory", "integrate", "settle"]
 #: model are bounded, so reaching this signals bad input
 DIVERGENCE_NORM = 1e6
 
-#: Dormand-Prince 5(4) tableau (HNW I, Table II.5.2).  Row i of _DP_A holds
-#: the weights of stage i + 1; its last row is the fifth-order solution, at
-#: which the seventh stage is evaluated (first same as last, "FSAL").
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+#: Dormand-Prince 5(4) tableau (HNW I, Table II.5.2) without its zero upper
+#: part: _DP_A[i] weights stages 1..i for stage i + 1; the last row is the
+#: fifth-order solution, where the seventh stage is evaluated ("FSAL").
+_DP_A = tuple(np.array(row) for row in (
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-])
+))
 #: fifth- minus fourth-order weights over the seven stages: the local error
 #: estimate of a step of size h is h * _DP_E @ K
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
@@ -116,20 +116,20 @@ def integrate(
     if t_end - times[-1] > 1e-9 * dt:
         steps.append(t_end - times[-1])
         times.append(t_end)
-    states = [x.copy()]
+    states = np.empty((len(times), spec.N))
+    states[0] = x
     for k, h in enumerate(steps, start=1):
         x = _rk4_step(spec, x, u0, h)
+        states[k] = x
         # one test per step: the norm is NaN or inf for a non-finite state
         if not math.sqrt(x @ x) <= DIVERGENCE_NORM:
             if not np.all(np.isfinite(x)):
                 raise NonFinite(f"non-finite state at t={times[k]:.6g}")
-            states.append(x.copy())
-            partial = Trajectory(np.array(times[: k + 1]), np.array(states), u0, "diverged")
+            partial = Trajectory(np.array(times[: k + 1]), states[: k + 1].copy(), u0, "diverged")
             raise Diverged(
                 f"state norm exceeded {DIVERGENCE_NORM:.0e} at t={times[k]:.6g}", partial
             )
-        states.append(x.copy())
-    return Trajectory(np.array(times), np.array(states), u0)
+    return Trajectory(np.array(times), states, u0)
 
 
 def settle(
@@ -171,19 +171,19 @@ def settle(
             non-finite field until the step falls below 1e-12 * tau.
         Diverged: the state norm exceeded DIVERGENCE_NORM.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    eps = 0.1 * tol * spec.tau
+    if not eps > 0:  # also catches a tol * tau that underflows to 0
+        raise ValueError(f"tol must be positive, with tol * tau / 10 > 0; got tol={tol}")
     if t_max is None:
         t_max = 1e4 * spec.tau
     if dt is None:
         dt = 0.01 * spec.tau
     x = as_state(x0, spec.N)
-    eps = 0.1 * tol * spec.tau
     h_min = _H_MIN * spec.tau
     stages = np.empty((7, spec.N))
     stages[6] = vector_field(spec, x, u0)
-    residual = np.linalg.norm(stages[6])
-    if not np.isfinite(residual):
+    residual = math.sqrt(stages[6] @ stages[6])
+    if not math.isfinite(residual):
         raise NonFinite("non-finite vector field at the initial state")
     t, h = 0.0, dt
     while residual >= tol:
@@ -195,21 +195,21 @@ def settle(
             )
         stages[0] = stages[6]
         for i in range(1, 6):
-            stages[i] = vector_field(spec, x + h * (_DP_A[i, :i] @ stages[:i]), u0)
+            stages[i] = vector_field(spec, x + h * (_DP_A[i] @ stages[:i]), u0)
         x_new = x + h * (_DP_A[6] @ stages[:6])
         stages[6] = vector_field(spec, x_new, u0)
-        err = np.sqrt(np.mean((h * (_DP_E @ stages)) ** 2)) / eps
+        err = math.sqrt(np.add.reduce((h * (_DP_E @ stages)) ** 2) / spec.N) / eps
         if not err <= 1.0:  # also rejects a NaN estimate
             stages[6] = stages[0]
-            h *= max(_FAC_MIN, _SAFETY * err ** -0.2) if np.isfinite(err) else _FAC_MIN
+            h *= max(_FAC_MIN, _SAFETY * err ** -0.2) if math.isfinite(err) else _FAC_MIN
             if h < h_min:
                 raise NonFinite(f"step size fell below {h_min:.1e} at t={t:.6g}: "
                                 f"error estimate {err:.3g} times the tolerance")
             continue
         t += h
         x = x_new
-        if np.linalg.norm(x) > DIVERGENCE_NORM:
+        if math.sqrt(x @ x) > DIVERGENCE_NORM:
             raise Diverged(f"state norm exceeded {DIVERGENCE_NORM:.0e} at t={t:.6g}")
-        residual = np.linalg.norm(stages[6])
+        residual = math.sqrt(stages[6] @ stages[6])
         h *= min(_FAC_MAX, _SAFETY * err ** -0.2) if err > 0 else _FAC_MAX
     return x

@@ -14,10 +14,12 @@ bifurcation parameter, passed to every evaluation rather than stored), and
 
 Everything in this module is a pure function of immutable inputs; specs
 and states are freely shareable across threads.  A spec compiles its
-modulation triplets into index and weight arrays once, at construction, and
-``linearize`` evaluates F, its Jacobian and dF/du0 from one shared build of
-the gains and of p; ``vector_field`` and ``jacobian`` return exactly (bit for
-bit) the same values.
+modulation triplets once, at construction, into index and weight arrays and
+one slot per distinct modulated edge; one kernel builds A * G(x) from them
+(a_ij * u0, overwritten on those edges with the sums of a loop over M).
+``linearize`` evaluates F, its Jacobian and dF/du0 from one build of it and
+of p; ``vector_field`` and ``jacobian`` return exactly (bit for bit) the
+same values.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         put = partial(object.__setattr__, self)  # the dataclass is frozen
-        A = np.array(self.A, dtype=float)
+        A = np.array(self.A, dtype=float, order="C")  # row-major: reshape(-1) is a view
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         if not np.all(np.isfinite(A)):
@@ -195,6 +197,7 @@ class NetworkSpec:
 
         triplets = []
         seen = set()
+        edges = {}  # (i, j) -> its triplets' positions in M, in first-hit order
         for t in self.M:
             if len(t) != 4:
                 raise ValueError(f"modulation entry {t!r} is not (i, j, k, weight)")
@@ -208,20 +211,26 @@ class NetworkSpec:
             if key in seen:
                 raise ValueError(f"duplicate modulation triplet {key}")
             seen.add(key)
-            triplets.append((int(i), int(j), int(k), float(w)))
+            edges.setdefault(key[:2], []).append(len(triplets))
+            triplets.append((*key, float(w)))
         put("M", tuple(triplets))
 
         # compiled modulation: 0-based i, j, k and w per triplet, in M's order;
-        # gain_ij += w * x_k**n lands at flat index i*N + j, and the
-        # dp_i/dx_k term n * a_ij * w * x_k**(n-1) * x_j at i*N + k
+        # dp_i/dx_k gets n * a_ij * w * x_k**(n-1) * x_j at flat index i*N + k.
+        # A slot per edge (i, j): index i*N + j, a_ij, first triplet, (slot, triplet) of the rest
         i, j, k = (np.array([t[c] - 1 for t in triplets], dtype=np.intp) for c in range(3))
         w = np.array([t[3] for t in triplets], dtype=float)
         put("_m_k", _read_only(k))
         put("_m_j", _read_only(j))
         put("_m_weight", _read_only(w))
-        put("_gain_at", _read_only(i * n + j))
         put("_slope_at", _read_only(i * n + k))
         put("_m_slope", _read_only(self.order * A[i, j] * w))
+        edge_at = np.array([(a - 1) * n + b - 1 for a, b in edges], dtype=np.intp)
+        put("_edge_at", _read_only(edge_at))
+        put("_edge_a", _read_only(A.reshape(-1)[edge_at]))
+        put("_edge_first", _read_only(np.array([ts[0] for ts in edges.values()], dtype=np.intp)))
+        later = [(slot, t) for slot, ts in enumerate(edges.values()) for t in ts[1:]]
+        put("_edge_later", _read_only(np.array(later, dtype=np.intp).reshape(-1, 2).T))
         put("_eye", _read_only(np.eye(n)))
 
     @property
@@ -241,29 +250,44 @@ class NetworkSpec:
         )
 
 
+def _edge_gains(spec: NetworkSpec, x: np.ndarray, u0: float) -> np.ndarray:
+    """Gain of each modulated edge: u0 + sum of w * x_k**n, added in M's order."""
+    v = spec._m_weight * _power(x, spec.order)[spec._m_k]
+    gains = u0 + v[spec._edge_first]
+    if spec._edge_later.size:
+        np.add.at(gains, spec._edge_later[0], v[spec._edge_later[1]])
+    return gains
+
+
+def _weighted_gains(spec: NetworkSpec, x: np.ndarray, u0: float) -> np.ndarray:
+    """A * modulated_gains: a_ij * u0, with the modulated edges overwritten."""
+    dp = spec.A * u0
+    if spec.M:
+        dp.reshape(-1)[spec._edge_at] = spec._edge_a * _edge_gains(spec, x, u0)
+    return dp
+
+
 def modulated_gains(spec: NetworkSpec, x, u0: float) -> np.ndarray:
     """Effective attention on each edge: ``u0 + sum_k m_ijk x_k**n``.
 
     With no modulation every entry is the basal attention u0.
     """
-    x = np.asarray(x, dtype=float)
     gains = np.full(spec.N * spec.N, float(u0))
     if spec.M:
-        # ufunc.at adds in M's order, also where triplets share an edge
-        np.add.at(gains, spec._gain_at, spec._m_weight * _power(x, spec.order)[spec._m_k])
+        gains[spec._edge_at] = _edge_gains(spec, np.asarray(x, dtype=float), u0)
     return gains.reshape(spec.N, spec.N)
 
 
 def inner_argument(spec: NetworkSpec, x, u0: float) -> np.ndarray:
     """Saturation argument p(x): p_i = sum_j a_ij * gain_ij(x) * x_j."""
     x = np.asarray(x, dtype=float)
-    return (spec.A * modulated_gains(spec, x, u0)) @ x
+    return _weighted_gains(spec, x, u0) @ x
 
 
 def vector_field(spec: NetworkSpec, x, u0: float) -> np.ndarray:
     """Right-hand side of the opinion dynamics: (-x + b + S(p(x))) / tau."""
     x = np.asarray(x, dtype=float)
-    return (-x + spec.b + spec.saturation(inner_argument(spec, x, u0))) / spec.tau
+    return (spec.b - x + spec.saturation(_weighted_gains(spec, x, u0) @ x)) / spec.tau
 
 
 def jacobian(spec: NetworkSpec, x, u0: float) -> np.ndarray:
@@ -286,12 +310,12 @@ def linearize(spec: NetworkSpec, x, u0: float):
     """
     x = np.asarray(x, dtype=float)
     n = spec.order
-    dp = spec.A * modulated_gains(spec, x, u0)
+    dp = _weighted_gains(spec, x, u0)
     p = dp @ x
     sp = spec.saturation.derivative(p)
     if spec.M:
         slope = spec._m_slope if n == 1 else spec._m_slope * _power(x, n - 1)[spec._m_k]
         np.add.at(dp.reshape(-1), spec._slope_at, slope * x[spec._m_j])
-    f = (-x + spec.b + spec.saturation(p)) / spec.tau
+    f = (spec.b - x + spec.saturation(p)) / spec.tau
     jac = (sp[:, None] * dp - spec._eye) / spec.tau
     return f, jac, sp * (spec.A @ x) / spec.tau

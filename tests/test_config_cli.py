@@ -330,13 +330,21 @@ def test_cli_parser_serves_every_call_in_one_process(tmp_path, capsys):
 
 
 def test_cli_import_does_not_load_scipy():
-    # the runtime needs numpy only; scipy would double the CLI's cold start.
-    # The child inherits this environment (PYTHONPATH included) and must
-    # import the same modnod as this process.
+    # the runtime needs numpy only; scipy would double the CLI's cold start,
+    # and numpy.ma (pulled in by np.unique and np.setdiff1d) adds about 1 MB
+    # of resident memory.  The child also builds a spec with two triplets on
+    # one edge and evaluates it.  It inherits this environment (PYTHONPATH
+    # included) and must import the same modnod as this process.
     import modnod
 
-    code = ("import sys, modnod.cli; print(modnod.__file__); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, modnod.cli; print(modnod.__file__)\n"
+            "from modnod.model import NetworkSpec, linearize, vector_field\n"
+            "spec = NetworkSpec(A=[[0.0, -1.0], [-1.0, 0.0]], order=2,\n"
+            "                   M=((2, 1, 1, 1.0), (2, 1, 2, -0.5)))\n"
+            "vector_field(spec, [0.3, -0.2], 0.8)\n"
+            "linearize(spec, [0.3, -0.2], 0.8)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m.split('.')[:2] == ['numpy', 'ma']))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr

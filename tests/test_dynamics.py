@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -19,6 +21,7 @@ from modnod import (
     settle,
     vector_field,
 )
+from modnod.dynamics import DIVERGENCE_NORM
 
 
 def test_neutral_state_stays_put():
@@ -110,8 +113,26 @@ def test_unstable_stepsize_diverges():
     spec = build_two_node(0.0, 1)
     with pytest.raises(Diverged) as err:
         integrate(spec, np.array([5.0, 5.0]), 1.0, 100.0, dt=10.0)
-    assert err.value.trajectory is not None
-    assert err.value.trajectory.terminated_early == "diverged"
+    partial = err.value.trajectory
+    assert partial is not None
+    assert partial.terminated_early == "diverged"
+    # the rows up to and including the diverged state, in an array of their own
+    assert partial.states.shape == (len(partial.times), spec.N)
+    assert np.linalg.norm(partial.states[-1]) > DIVERGENCE_NORM
+    assert np.all(np.linalg.norm(partial.states[:-1], axis=1) <= DIVERGENCE_NORM)
+    assert partial.states.flags.owndata and partial.states.base is None
+    full = integrate(spec, np.array([0.5, -0.5]), 1.0, 1.05, dt=0.1)
+    assert full.states.shape == (len(full.times), spec.N) == (12, 2)
+
+
+@pytest.mark.parametrize("tol, tau", [(0.0, 1.0), (-1e-9, 1.0), (float("nan"), 1.0),
+                                      (1e-323, 1.0), (1e-30, 1e-300)])
+def test_settle_rejects_tolerance_without_a_positive_error_scale(tol, tau):
+    # the local error scale tol * tau / 10 must be positive: an underflow to 0
+    # is a ValueError up front, not a division by zero inside the stepper
+    spec = replace(build_two_node(0.0, 1), tau=tau)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        settle(spec, np.array([0.1, -0.1]), 1.0, tol=tol)
 
 
 def test_non_finite_initial_state_rejected():

@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 import math
 
 import numpy as np
@@ -286,6 +286,17 @@ def loop_jacobian(spec, x, u0):
     return (sp[:, None] * dp - np.eye(spec.N)) / spec.tau
 
 
+def loop_field(spec, x, u0):
+    """Reference gains, p and F: the gains built by a loop over M, one
+    triplet at a time, in M's order, as in ``loop_jacobian``."""
+    gains = np.full((spec.N, spec.N), float(u0))
+    xn = x ** spec.order
+    for i, j, k, w in spec.M:
+        gains[i - 1, j - 1] += w * xn[k - 1]
+    p = (spec.A * gains) @ x
+    return gains, p, (-x + spec.b + spec.saturation(p)) / spec.tau
+
+
 @st.composite
 def linearize_cases(draw):
     n = draw(st.integers(1, 3))
@@ -306,7 +317,7 @@ def linearize_cases(draw):
                        order=draw(st.integers(1, 3)), saturation=saturation,
                        b=np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))),
                        tau=draw(st.sampled_from([0.5, 1.0, 1.7])))
-    state = st.one_of(st.just(0.0), st.floats(-1.5, 1.5))
+    state = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.5, 1.5))
     x = np.array(draw(st.lists(state, min_size=n, max_size=n)))
     return spec, x, draw(st.floats(-1.0, 3.0))
 
@@ -316,9 +327,20 @@ def linearize_cases(draw):
 def test_linearize_matches_field_loop_jacobian_and_u0_difference(case):
     spec, x, u0 = case
     f, jac, f_u0 = linearize(spec, x, u0)
-    np.testing.assert_array_equal(f, vector_field(spec, x, u0))
+    # the compiled edge kernel against the loop, bit for bit, signed zeros included
+    gains, p, field = loop_field(spec, x, u0)
+    for got, want in ((modulated_gains(spec, x, u0), gains), (inner_argument(spec, x, u0), p),
+                      (vector_field(spec, x, u0), field), (f, field)):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
     np.testing.assert_array_equal(jac, loop_jacobian(spec, x, u0))
     np.testing.assert_array_equal(jac, jacobian(spec, x, u0))
+    # a column-major A (as A.T is) gives the same bits as the row-major one
+    spec_f = replace(spec, A=np.asfortranarray(spec.A))
+    for got, want in zip(linearize(spec_f, x, u0), (f, jac, f_u0)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(vector_field(spec_f, x, u0), field)
+    np.testing.assert_array_equal(inner_argument(spec_f, x, u0), p)
     # central difference in u0: rounding is about eps * |F terms| / h, and the
     # truncation h**2 / 6 * |d3F/du0^3| is far below it at h = 1e-6
     h = 1e-6
