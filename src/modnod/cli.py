@@ -46,10 +46,13 @@ def _param(cfg: RunConfig, key: str, cast, default):
         raise ValidationError(f"params.{key}: {exc}") from None
 
 
-def _positive(value) -> float:
-    if not 0 < float(value) < np.inf:
-        raise ValueError(f"expected a positive finite number, got {value!r}")
+def _finite(value, lo=-np.inf) -> float:
+    if not lo < float(value) < np.inf:
+        raise ValueError(f"expected a number in ({lo:g}, inf), got {value!r}")
     return float(value)
+
+
+_positive = functools.partial(_finite, lo=0.0)
 
 
 def _u0_range(value) -> tuple:
@@ -70,12 +73,12 @@ def _state(cfg: RunConfig, default) -> np.ndarray:
 def _initial_state(cfg: RunConfig) -> np.ndarray:
     if cfg.params.get("x0", "random") != "random":
         return _state(cfg, None)
-    scale = _param(cfg, "x0_scale", float, 0.1)
+    scale = _param(cfg, "x0_scale", _finite, 0.1)
     return scale * np.random.default_rng(cfg.seed).standard_normal(cfg.spec.N)
 
 
 def cmd_simulate(cfg: RunConfig, args) -> tuple:
-    u0 = _param(cfg, "u0", float, 1.0)
+    u0 = _param(cfg, "u0", _finite, 1.0)
     t_end = _param(cfg, "t_end", _positive, 50.0)
     dt = _param(cfg, "dt", _positive, None)
     traj = dynamics.integrate(cfg.spec, _initial_state(cfg), u0, t_end, dt)
@@ -85,7 +88,7 @@ def cmd_simulate(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_equilibrium(cfg: RunConfig, args) -> tuple:
-    u0 = _param(cfg, "u0", float, 1.0)
+    u0 = _param(cfg, "u0", _finite, 1.0)
     x0 = _state(cfg, np.zeros(cfg.spec.N))
     x_star = continuation.newton_equilibrium(cfg.spec, x0, u0)
     point = continuation.branch_point_at(cfg.spec, x_star, u0)

@@ -16,16 +16,22 @@ reverse the u0 component of the branch tangent.
 
 One corrector, ``_bordered_correct`` with its one budget CORRECTOR_ITERS,
 makes every bordered Newton solve of tracing and switching (steps along the
-tangent, the landing on the u0 boundary, the event bisection and the switch
-solve), and every tracing correction that converges becomes a point.  Each
-iterate takes one ``model.linearize`` (F, J and F_u0 from one build of the
-gains), and the corrector hands the converged point's J and F_u0 on: the
-tangent solve reuses them, and one ``eigvals`` of that J gives both the
-point's stability (leading eigenvalue) and the sign of det J, which event
-detection reads instead of re-evaluating.  A real eigenvalue is one with
-``imag == 0``.  All bordered systems go through ``_bordered_solve``;
-step-control factors, tolerances and branch-switch offsets are module
-constants, not ``StepParams`` fields or keyword arguments.
+tangent, the landings, the event bisection and the switch solve), and every
+tracing correction that converges becomes a point.  ``_land`` corrects from
+a chord onto the hyperplane it crosses: the u0 boundary, which ends a
+branch, or the seed's t_s . (z - z_s) = 0.  A regular equilibrium curve
+returns to its own trail only through its seed, so a loop closes when a step
+takes t_s . (z - z_s) from negative to non-negative and the landing is the
+seed (within CLOSURE_TOL); ``diagram`` skips a switched seed that an earlier
+branch passes through by the same test.  Each iterate takes one
+``model.linearize`` (F, J and F_u0 from one build of the gains), and the
+corrector hands the converged point's J and F_u0 on: the tangent solve
+reuses them, and one ``eigvals`` of that J gives both the point's stability
+(leading eigenvalue) and the sign of det J, which event detection reads
+instead of re-evaluating.  A real eigenvalue is one with ``imag == 0``.  All
+bordered systems go through ``_bordered_solve``; step-control factors,
+tolerances and branch-switch offsets are module constants, not
+``StepParams`` fields or keyword arguments.
 
 Mirror branches are reflected, not traced.  A flippable block is a connected
 component of the graph of A (a_ij != 0, i != j) on which b is zero and, for
@@ -91,6 +97,13 @@ CORRECTOR_ITERS = 8
 #: branch-switch seed offset along the kernel, and in u0 for the fallback
 SWITCH_EPS = 1e-2
 SWITCH_DU0 = 5e-3
+#: a landing on a seed's hyperplane this close to the seed is the seed.  Both
+#: solve the bordered system B at the seed to residual NEWTON_TOL, so they
+#: differ by at most 2 ||B^-1|| NEWTON_TOL; ||B^-1|| grows like 1/SWITCH_EPS at
+#: a switched seed (<= 722 on the scenarios and 600 random specs), so ~1.5e-9
+#: (measured <= 8.5e-11).  The other branch through the event lies about
+#: SWITCH_EPS away (measured >= 7.2e-3).
+CLOSURE_TOL = 1e-6
 
 
 class EventKind(str, Enum):
@@ -282,9 +295,7 @@ def branch_point_at(
     x = np.asarray(x, dtype=float).reshape(-1)
     _, jac, f_u0 = linearize(spec, x, u0)
     if tangent is None:
-        seed = np.zeros(spec.N + 1)
-        seed[-1] = 1.0
-        tangent = _tangent(jac, f_u0, seed)
+        tangent = _tangent(jac, f_u0, np.eye(spec.N + 1)[-1])
     else:
         tangent = np.asarray(tangent, dtype=float)
         tangent = tangent / np.linalg.norm(tangent)
@@ -302,8 +313,9 @@ def trace_branch(
     step: StepParams | None = None,
 ) -> Branch:
     """Pseudo-arclength continuation of the equilibrium branch through
-    ``seed`` until it leaves ``u0_range``, exhausts the point budget, or the
-    step underflows.
+    ``seed`` until it leaves ``u0_range`` (its last point is the landing on
+    the boundary), exhausts the point budget, or closes on its seed (its
+    last point is the landing on the seed; see the module docstring).
 
     The step shrinks on correction failure and grows after fast corrections
     (see STEP_GROW), inside [step.min_step, step.max_step].
@@ -318,11 +330,11 @@ def trace_branch(
     n = spec.N
 
     branch = Branch(points=[seed])
-    z = np.concatenate([seed.x, [seed.u0]])
-    t = seed.tangent.copy()
+    z_seed = np.concatenate([seed.x, [seed.u0]])
+    z, t = z_seed, seed.tangent.copy()
+    g = 0.0  # seed.tangent @ (z - z_seed): the side of the seed's hyperplane z is on
     h = step.initial
-    trail = np.empty((max(step.max_points, 1), n + 1))  # z of each point so far
-    trail[0] = z
+    e_u0 = np.eye(n + 1)[n]
 
     while len(branch.points) < step.max_points:
         result = _bordered_correct(spec, z + h * t, t)
@@ -333,23 +345,23 @@ def trace_branch(
             continue
         z_new, iters, jac, f_u0 = result
 
-        u0_new = z_new[n]
-        if u0_new < lo - 1e-12 or u0_new > hi + 1e-12:
-            boundary = lo if u0_new < lo else hi
-            closed = _close_on_boundary(spec, z, z_new, boundary)
-            if closed is not None:
-                z_b, _, jac_b, f_u0_b = closed
-                branch.points.append(
-                    _branch_point(z_b[:n], boundary, _tangent(jac_b, f_u0_b, t), jac_b)
-                )
-            break
-        if _closes_loop(trail[: len(branch.points)], z, z_new):
-            log.debug("loop closed near u0=%.6g after %d points", u0_new, len(branch.points))
-            break
-
+        g_new = seed.tangent @ (z_new - z_seed)
+        leaves = not lo - 1e-12 <= z_new[n] <= hi + 1e-12
+        if leaves or g < 0 <= g_new:
+            # land on the u0 boundary the step crosses, or on the seed's hyperplane
+            if leaves:
+                landed = _land(spec, z, z_new, (lo if z_new[n] < lo else hi) * e_u0, e_u0)
+            else:
+                landed = _land(spec, z, z_new, z_seed, seed.tangent)
+            if leaves or (landed is not None and np.linalg.norm(landed[0] - z_seed) <= CLOSURE_TOL):
+                if landed is not None:
+                    z_l, _, jac_l, f_u0_l = landed
+                    t_l = _tangent(jac_l, f_u0_l, t)
+                    branch.points.append(_branch_point(z_l[:n], z_l[n], t_l, jac_l))
+                break
+        g = g_new
         t = _tangent(jac, f_u0, t)
         z = z_new
-        trail[len(branch.points)] = z
         branch.points.append(_branch_point(z[:n], z[n], t, jac))
         if iters <= FAST_ITERS:
             h = min(h * STEP_GROW, step.max_step)
@@ -358,45 +370,19 @@ def trace_branch(
     return branch
 
 
-#: revisiting an earlier stretch of the same branch within this distance,
-#: moving the same way, terminates the trace (closed equilibrium curve)
-CLOSURE_TOL = 2e-3
-_CLOSURE_GAP = 10  # segments to skip right behind the current point
-
-
-def _polyline_distances(pts: np.ndarray, z: np.ndarray):
-    """Distance from z to each segment of the polyline through the rows of
-    ``pts``, and each segment's unit direction.  A zero-length segment
-    measures the distance to its point and has direction zero."""
-    a = pts[:-1]
-    d = pts[1:] - a
-    seg_len2 = np.einsum("ij,ij->i", d, d)
-    seg_len2[seg_len2 == 0] = 1.0
-    s = np.clip(np.einsum("ij,ij->i", z - a, d) / seg_len2, 0.0, 1.0)
-    dist = np.linalg.norm(a + s[:, None] * d - z, axis=1)
-    return dist, d / np.sqrt(seg_len2)[:, None]
-
-
-def _closes_loop(trail, z, z_new) -> bool:
-    if len(trail) < _CLOSURE_GAP + 2:
-        return False
-    heading = z_new - z
-    dist, seg_dir = _polyline_distances(trail[: len(trail) - _CLOSURE_GAP], z_new)
-    same_way = seg_dir @ (heading / np.linalg.norm(heading)) > 0.9
-    return bool(np.any((dist <= CLOSURE_TOL) & same_way))
-
-
-def _close_on_boundary(spec, z_in, z_out, boundary):
-    """Land the final branch point exactly on the u0 boundary: the corrector
-    from the chord's crossing of the boundary, along e_u0.  Returns
+def _land(spec, z_a, z_b, point, normal):
+    """Correct onto the branch in the hyperplane normal . (z - point) = 0
+    (``normal`` a unit vector) that the chord [z_a, z_b] crosses, from the
+    chord's crossing moved exactly onto it, along ``normal``; along e_u0, u0
+    stays exact (that border row takes zero LU multipliers).  Returns
     ``_bordered_correct``'s (z, iterations, J, F_u0), or None."""
-    n = spec.N
-    span = z_out[n] - z_in[n]
-    if abs(span) < 1e-14:
+    chord = z_b - z_a
+    across = normal @ chord
+    if abs(across) < 1e-14:
         return None
-    z_guess = z_in + (boundary - z_in[n]) / span * (z_out - z_in)
-    z_guess[n] = boundary
-    return _bordered_correct(spec, z_guess, np.eye(n + 1)[n])
+    guess = z_a + (normal @ (point - z_a)) / across * chord
+    guess += (normal @ (point - guess)) * normal
+    return _bordered_correct(spec, guess, normal)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +603,8 @@ def _sign_pattern(x: np.ndarray) -> str:
 
 def _label_branch(branch: Branch, labeler) -> str:
     """Label of the last stable point (else the last point): ``labeler``'s,
-    or the sign pattern of its state."""
+    or the sign pattern of its state.  A closed loop's last point is the
+    landing on its seed, whatever the step size."""
     point = next((p for p in reversed(branch.points) if p.stable), branch.points[-1])
     return labeler(point) if labeler else _sign_pattern(point.x)
 
@@ -638,11 +625,10 @@ def diagram(
     lo, hi = float(u0_range[0]), float(u0_range[1])
 
     x0 = newton_equilibrium(spec, np.zeros(spec.N), lo)
-    seed_tangent = np.zeros(spec.N + 1)
-    seed_tangent[-1] = 1.0
-    primary_seed = branch_point_at(spec, x0, lo, seed_tangent)
+    primary_seed = branch_point_at(spec, x0, lo, np.eye(spec.N + 1)[-1])
 
     branches: list[Branch] = []
+    paths: list[np.ndarray] = []  # the (x, u0) rows of each branch's points
     labels_seen: dict[str, int] = {}
 
     def add(branch: Branch) -> None:
@@ -651,6 +637,7 @@ def diagram(
         labels_seen[label] = count + 1
         branch.label = label if count == 0 else f"{label}/{count + 1}"
         branches.append(branch)
+        paths.append(np.array([np.concatenate([p.x, [p.u0]]) for p in branch.points]))
 
     blocks = _flip_blocks(spec)
     traced: list[tuple] = []  # (seed, step, branch) of every traced branch
@@ -688,7 +675,7 @@ def diagram(
                         event.u0, direction, exc,
                     )
                     continue
-                if _already_covered(branches, seed_new):
+                if _already_covered(spec, paths, seed_new):
                     continue
                 trace_from(seed_new, depth + 1)
 
@@ -741,11 +728,19 @@ def _reflect(branch: Branch, seed: BranchPoint, d: np.ndarray) -> Branch:
     return Branch(points=points, events=events)
 
 
-def _already_covered(branches, point: BranchPoint) -> bool:
-    """True when a previously traced branch passes through ``point``."""
-    z = np.concatenate([point.x, [point.u0]])
-    for branch in branches:
-        pts = np.array([np.concatenate([p.x, [p.u0]]) for p in branch.points])
-        if np.any(_polyline_distances(pts, z)[0] <= CLOSURE_TOL):
-            return True
+def _already_covered(spec: NetworkSpec, paths, seed: BranchPoint) -> bool:
+    """True when an earlier branch, given by its (x, u0) rows in ``paths``,
+    passes through ``seed``: a chord of it crosses the seed's hyperplane
+    within its own length of the seed, and lands on the seed from there."""
+    z_s = np.concatenate([seed.x, [seed.u0]])
+    for pts in paths:
+        g = (pts - z_s) @ seed.tangent
+        for i in np.flatnonzero((g[:-1] < 0) != (g[1:] < 0)):
+            chord = pts[i + 1] - pts[i]
+            crossing = pts[i] + g[i] / (g[i] - g[i + 1]) * chord
+            if np.linalg.norm(crossing - z_s) > np.linalg.norm(chord):
+                continue
+            landed = _land(spec, pts[i], pts[i + 1], z_s, seed.tangent)
+            if landed is not None and np.linalg.norm(landed[0] - z_s) <= CLOSURE_TOL:
+                return True
     return False

@@ -258,6 +258,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("diagram", {"u0_range": [0.0, 1.5], "step": {"max": -0.1}}, "step"),
         ("equilibrium", {"x0": [0.1, 0.2, 0.3]}, "x0"),
         ("simulate", {"u0": "abc"}, "u0"),
+        ("simulate", {"u0": float("nan")}, "u0"),
+        ("equilibrium", {"u0": "nan"}, "u0"),
+        ("simulate", {"x0_scale": float("inf")}, "x0_scale"),
         ("simulate", {"t_end": -1}, "t_end"),
     ]:
         cfg = write_config(tmp_path, {"scenario": {"name": "two_node"}, "params": params})

@@ -29,8 +29,9 @@ from modnod import (
     trace_branch,
     vector_field,
 )
+from modnod.config import spec_from_json
 from modnod.model import Saturation, linearize
-from modnod.scenarios import build_scenario
+from modnod.scenarios import build_scenario, drive_steer_label
 
 
 def neutral_branch(spec, u0_range, **step_kw):
@@ -340,24 +341,48 @@ def test_detect_events_requires_two_points():
     assert detect_events(spec, [seed]) == []
 
 
-# -- point-to-polyline distance ----------------------------------------------
+# -- loop closure ------------------------------------------------------------
 
-def test_polyline_distances_match_brute_force_loop():
-    rng = np.random.default_rng(21)
-    for _ in range(50):
-        dim = int(rng.integers(2, 6))
-        pts = rng.uniform(-1, 1, (int(rng.integers(2, 12)), dim))
-        for r in rng.integers(1, len(pts), 2):  # zero-length segments
-            pts[r] = pts[r - 1]
-        z = rng.uniform(-1, 1, dim)
-        dist, seg_dir = continuation._polyline_distances(pts, z)
-        for s, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
-            d = b - a
-            denom = d @ d
-            t = 0.0 if denom == 0 else min(max((z - a) @ d / denom, 0.0), 1.0)
-            assert dist[s] == pytest.approx(np.linalg.norm(a + t * d - z), rel=1e-12, abs=1e-15)
-            unit = np.zeros(dim) if denom == 0 else d / np.sqrt(denom)
-            np.testing.assert_allclose(seg_dir[s], unit, rtol=1e-12, atol=1e-15)
+def closed_loops(branches, u0_range, max_points):
+    """Branches that end inside ``u0_range`` before their point budget: a
+    trace stops there only when it closes on its seed."""
+    return [b for b in branches
+            if u0_range[0] < b.points[-1].u0 < u0_range[1] and len(b.points) < max_points]
+
+
+def seed_gap(branch):
+    first, last = branch.points[0], branch.points[-1]
+    return np.linalg.norm(np.append(last.x - first.x, last.u0 - first.u0))
+
+
+@pytest.mark.parametrize("max_step", [0.05, 0.08, 0.1, 0.12, 0.15])
+def test_drive_steer_loop_closes_on_its_seed_at_every_max_step(max_step):
+    # the u0 ~ 1.22 loop joins the two steering events on st; it ends on its
+    # seed, so its mirror seed is covered whatever the step
+    spec = build_scenario("drive_steer", m_bar=2.0)
+    options = DiagramOptions(step=StepParams(max_step=max_step), labeler=drive_steer_label)
+    branches = diagram(spec, (0.05, 11.0), options)
+    assert sorted(b.label for b in branches) == [
+        "dr", "drl", "drr", "id", "idl", "idr", "st", "stl", "stl/2", "str"]
+    loops = closed_loops(branches, (0.05, 11.0), options.step.max_points)
+    assert [b.label for b in loops] == ["stl"]
+    assert seed_gap(loops[0]) <= continuation.CLOSURE_TOL
+
+
+def test_small_loop_past_a_pitchfork_ends_on_its_seed():
+    # a small loop switched from a pitchfork of the neutral branch returns
+    # through the pitchfork to its seed; its mirror seed lies on the loop, so
+    # it is covered and not traced as a third branch
+    spec = spec_from_json({
+        "A": [[0.06859401335826064, -0.9637849232600738, 0.0],
+              [-0.0, 1.610163254264054, -0.46632848149035583],
+              [-1.6712396645976324, -0.0, -0.9223075068727697]],
+        "M": [[1, 3, 1, 0.7354955885992546], [2, 2, 3, -0.9418749130497466]], "n": 2})
+    branches = diagram(spec, (0.02, 2.0), DiagramOptions(step=StepParams(max_points=400)))
+    assert len(branches) == 2
+    loops = closed_loops(branches, (0.02, 2.0), 400)
+    assert loops
+    assert all(seed_gap(loop) <= continuation.CLOSURE_TOL for loop in loops)
 
 
 # -- bordered solve ----------------------------------------------------------
@@ -525,8 +550,9 @@ def test_every_diagram_branch_equals_its_own_trace(name, params, u0_range):
 def test_every_converged_correction_becomes_a_point(name, params, u0_range, monkeypatch):
     # retrace every diagram branch with events off (their bisection corrects
     # secant points, which are not branch points); only the last converged
-    # correction of a trace may be dropped: the one that leaves the u0 range
-    # or closes a loop
+    # correction of a trace may be dropped: the one that leaves the u0 range,
+    # or the one that crosses the seed's hyperplane, when the branch's last
+    # point is the landing on the seed
     spec = build_scenario(name, **params)
     switched = replace(StepParams(), initial=min(StepParams().initial,
                                                  0.5 * continuation.SWITCH_EPS))
@@ -550,7 +576,9 @@ def test_every_converged_correction_becomes_a_point(name, params, u0_range, monk
         points = {tuple(np.append(p.x, p.u0)) for p in ref.points[1:]}
         dropped = [z for z in converged if tuple(z) not in points]
         assert len(dropped) <= 1, f"{branch.label}: {len(dropped)} corrections dropped"
+        seed, before_last, last = (np.append(p.x, p.u0) for p in
+                                   (ref.points[0], ref.points[-2], ref.points[-1]))
         for z in dropped:
-            trail = np.array([np.append(p.x, p.u0) for p in ref.points])
-            assert not lo <= z[-1] <= hi or continuation._polyline_distances(
-                trail, z)[0].min() <= continuation.CLOSURE_TOL
+            assert not lo <= z[-1] <= hi or (
+                ref.points[0].tangent @ (before_last - seed) < 0 <= ref.points[0].tangent @ (z - seed)
+                and np.linalg.norm(last - seed) <= continuation.CLOSURE_TOL)

@@ -11,7 +11,9 @@ converged corrections was deleted) and the switch solve and the landing on
 the u0 boundary moved onto the same corrector: the points off the neutral
 branches moved, on the old polylines to within 7.6e-4, the events off them
 by at most 1.3e-8, and the drive/steer m_bar = 2 labels changed (CHANGES.md
-gives the reasons).
+gives the reasons).  ``drive_steer_m2`` was regenerated once more when a loop
+came to close on its seed: its ``stl`` loop gained one last row, the landing
+on its seed, and nothing else moved.
 A change that moves any digit of these files must say why in CHANGES.md.
 The bytes depend on float64 rounding in numpy and LAPACK, so a different
 platform may legitimately differ in the last printed digits.
