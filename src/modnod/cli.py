@@ -81,7 +81,11 @@ def cmd_simulate(cfg: RunConfig, args) -> tuple:
     u0 = _param(cfg, "u0", _finite, 1.0)
     t_end = _param(cfg, "t_end", _positive, 50.0)
     dt = _param(cfg, "dt", _positive, None)
-    traj = dynamics.integrate(cfg.spec, _initial_state(cfg), u0, t_end, dt)
+    x0 = _initial_state(cfg)
+    try:
+        traj = dynamics.integrate(cfg.spec, x0, u0, t_end, dt)
+    except ValueError as exc:  # t_end and dt are positive and finite: too many samples
+        raise ValidationError(f"params.t_end: {exc}") from None
     xf = traj.states[-1]
     return ({"trajectory.csv": trajectory_to_csv(traj)},
             f"u0 = {u0:g}, t_end = {t_end:g}, final state = {np.array2string(xf, precision=6)}")

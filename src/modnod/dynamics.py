@@ -13,7 +13,11 @@ Two integrators, each suited to its job:
   step of 0.01 * tau spent 15,008 field evaluations per settle on the
   benchmark's settle workload; the adaptive steps spend about 400.
 
-Both are deterministic: repeated calls give bit-identical results.
+u0 is fixed within a call, so each builds the field x -> F(x, u0) once
+(``model._field_at``, with A * u0 and the saturation's constants formed up
+front) and evaluates that closure at every stage; its values are
+``vector_field``'s, bit for bit.  Both are deterministic: repeated calls
+give bit-identical results.
 """
 
 from __future__ import annotations
@@ -24,13 +28,21 @@ import math
 import numpy as np
 
 from .errors import Diverged, NonFinite, NotSettled
-from .model import NetworkSpec, as_state, vector_field
+from .model import NetworkSpec, _field_at, as_state
 
 __all__ = ["Trajectory", "integrate", "settle"]
 
 #: state norm beyond which integration aborts; solutions of the saturated
 #: model are bounded, so reaching this signals bad input
 DIVERGENCE_NORM = 1e6
+#: most samples ``integrate`` takes (t_end / dt).  A sample costs 48 + 8 N
+#: bytes while integrating (its entries in the time and step lists and its
+#: row of ``states``), and as a row of ``trajectory.csv`` N + 1 float reprs
+#: of up to 24 characters, about 220 B at the peak of writing for N = 2
+#: (tracemalloc, 1e5 samples).  So 1e7 samples of a two-node run take
+#: 0.64 GB to integrate and 2.2 GB to write; a longer run is refused before
+#: anything is allocated.
+MAX_SAMPLES = 10_000_000
 
 #: Dormand-Prince 5(4) tableau (HNW I, Table II.5.2) without its zero upper
 #: part: _DP_A[i] weights stages 1..i for stage i + 1; the last row is the
@@ -72,14 +84,6 @@ class Trajectory:
     terminated_early: str | None = None
 
 
-def _rk4_step(spec: NetworkSpec, x: np.ndarray, u0: float, dt: float) -> np.ndarray:
-    k1 = vector_field(spec, x, u0)
-    k2 = vector_field(spec, x + 0.5 * dt * k1, u0)
-    k3 = vector_field(spec, x + 0.5 * dt * k2, u0)
-    k4 = vector_field(spec, x + dt * k3, u0)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def integrate(
     spec: NetworkSpec,
     x0,
@@ -96,20 +100,25 @@ def integrate(
     the rounding of t_end / dt.
 
     Raises:
+        ValueError: dt is not positive and finite, t_end is not positive,
+            or t_end / dt exceeds MAX_SAMPLES.
         NonFinite: a NaN/Inf state appeared (including in x0).
         Diverged: the state norm exceeded DIVERGENCE_NORM; the partial
             trajectory is attached to the exception.
     """
     if dt is None:
         dt = 0.01 * spec.tau
-    if not (dt > 0 and t_end > 0):
-        raise ValueError("dt and t_end must be positive")
+    if not (0 < dt < math.inf and t_end > 0):
+        raise ValueError(f"dt must be positive and finite and t_end positive; got dt={dt}, "
+                         f"t_end={t_end}")
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (spec.N,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({spec.N},)")
     if not np.all(np.isfinite(x)):
         raise NonFinite("initial state contains non-finite entries")
 
+    if not t_end / dt <= MAX_SAMPLES:
+        raise ValueError(f"t_end / dt = {t_end / dt:.3g} exceeds {MAX_SAMPLES:.0e} samples")
     n_full = int(np.floor(t_end / dt + 1e-9))
     times = [k * dt for k in range(n_full + 1)]
     steps = [dt] * n_full
@@ -118,11 +127,17 @@ def integrate(
         times.append(t_end)
     states = np.empty((len(times), spec.N))
     states[0] = x
+    f = _field_at(spec, u0)
     for k, h in enumerate(steps, start=1):
-        x = _rk4_step(spec, x, u0, h)
+        half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k is (0.5 * h) * k: the same bits
+        k1 = f(x)
+        k2 = f(x + half * k1)
+        k3 = f(x + half * k2)
+        k4 = f(x + h * k3)
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[k] = x
         # one test per step: the norm is NaN or inf for a non-finite state
-        if not math.sqrt(x @ x) <= DIVERGENCE_NORM:
+        if not math.sqrt(x.dot(x)) <= DIVERGENCE_NORM:
             if not np.all(np.isfinite(x)):
                 raise NonFinite(f"non-finite state at t={times[k]:.6g}")
             partial = Trajectory(np.array(times[: k + 1]), states[: k + 1].copy(), u0, "diverged")
@@ -164,6 +179,8 @@ def settle(
     residual would stall above ``tol``.
 
     Raises:
+        ValueError: tol * tau / 10 is not positive, or dt or t_max is not
+            positive and finite.
         NotSettled: t_max (default 1e4 * tau) passed first, which is
             expected near a bifurcation where convergence is algebraically
             slow; the last state and its residual are attached.
@@ -178,11 +195,17 @@ def settle(
         t_max = 1e4 * spec.tau
     if dt is None:
         dt = 0.01 * spec.tau
+    # a zero or NaN first step never advances t, a negative one runs backward,
+    # and a NaN or infinite t_max switches the time budget off
+    if not (0 < dt < math.inf and 0 < t_max < math.inf):
+        raise ValueError(f"dt and t_max must be positive and finite; got dt={dt}, t_max={t_max}")
     x = as_state(x0, spec.N)
     h_min = _H_MIN * spec.tau
-    stages = np.empty((7, spec.N))
-    stages[6] = vector_field(spec, x, u0)
-    residual = math.sqrt(stages[6] @ stages[6])
+    n, f = spec.N, _field_at(spec, u0)
+    stages = np.empty((7, n))
+    heads = [stages[:i] for i in range(7)]  # views: stage i + 1 weights heads[i]
+    stages[6] = f(x)
+    residual = math.sqrt(stages[6].dot(stages[6]))
     if not math.isfinite(residual):
         raise NonFinite("non-finite vector field at the initial state")
     t, h = 0.0, dt
@@ -194,11 +217,15 @@ def settle(
                 residual=float(residual),
             )
         stages[0] = stages[6]
-        for i in range(1, 6):
-            stages[i] = vector_field(spec, x + h * (_DP_A[i] @ stages[:i]), u0)
-        x_new = x + h * (_DP_A[6] @ stages[:6])
-        stages[6] = vector_field(spec, x_new, u0)
-        err = math.sqrt(np.add.reduce((h * (_DP_E @ stages)) ** 2) / spec.N) / eps
+        # ndarray.dot costs less to call than @ and gives the same bits on sums
+        # of two or more terms; stage 2 sums one term, which @ adds to +0.0 and
+        # dot returns as it is (a -0.0 would keep its sign)
+        stages[1] = f(x + h * (_DP_A[1] @ heads[1]))
+        for i in range(2, 6):
+            stages[i] = f(x + h * _DP_A[i].dot(heads[i]))
+        x_new = x + h * _DP_A[6].dot(heads[6])
+        stages[6] = f(x_new)
+        err = math.sqrt(np.add.reduce((h * _DP_E.dot(stages)) ** 2) / n) / eps
         if not err <= 1.0:  # also rejects a NaN estimate
             stages[6] = stages[0]
             h *= max(_FAC_MIN, _SAFETY * err ** -0.2) if math.isfinite(err) else _FAC_MIN
@@ -208,8 +235,8 @@ def settle(
             continue
         t += h
         x = x_new
-        if math.sqrt(x @ x) > DIVERGENCE_NORM:
+        if math.sqrt(x.dot(x)) > DIVERGENCE_NORM:
             raise Diverged(f"state norm exceeded {DIVERGENCE_NORM:.0e} at t={t:.6g}")
-        residual = math.sqrt(stages[6] @ stages[6])
+        residual = math.sqrt(stages[6].dot(stages[6]))
         h *= min(_FAC_MAX, _SAFETY * err ** -0.2) if err > 0 else _FAC_MAX
     return x

@@ -12,14 +12,17 @@ is the order of that modulation, ``u0`` is the basal attention (the
 bifurcation parameter, passed to every evaluation rather than stored), and
 ``S`` is a smooth saturation with S(0) = 0 and S'(0) = 1.
 
-Everything in this module is a pure function of immutable inputs; specs
-and states are freely shareable across threads.  A spec compiles its
-modulation triplets once, at construction, into index and weight arrays and
-one slot per distinct modulated edge; one kernel builds A * G(x) from them
-(a_ij * u0, overwritten on those edges with the sums of a loop over M).
-``linearize`` evaluates F, its Jacobian and dF/du0 from one build of it and
-of p; ``vector_field`` and ``jacobian`` return exactly (bit for bit) the
-same values.
+The public functions are pure functions of immutable inputs, and specs are
+freely shareable across threads.  A spec compiles its modulation triplets
+once, at construction, into index and weight arrays and one slot per
+distinct modulated edge.  One kernel, ``_gains_at(spec, u0)``, forms
+a_ij * u0 once and returns x -> A * G(x): that buffer with only those edges
+overwritten by the sums of a loop over M.  ``_field_at(spec, u0)`` builds
+on it the field x -> F(x, u0), with the saturation resolved once; the time
+steppers build one per call, since u0 is fixed there.  Such a closure owns
+its buffer and is not shared.  ``vector_field`` is one evaluation of it;
+``linearize`` evaluates F, its Jacobian and dF/du0 from one build of A * G
+and of p, and returns exactly (bit for bit) the same F.
 """
 
 from __future__ import annotations
@@ -99,11 +102,20 @@ class Saturation:
         limit = abs(self.shift) + _SHIFT_CLIP
         return np.minimum(np.maximum(z, -limit), limit)
 
-    def __call__(self, z):
+    def _function(self):
+        """z -> S(z), with the shift's clip limit and cosh s computed once."""
         if self.kind == "odd":
-            return np.tanh(z)
-        z = self._clipped(z)
-        return math.cosh(self.shift) * np.sinh(z) / np.cosh(z - self.shift)
+            return np.tanh
+        s, limit, c = self.shift, abs(self.shift) + _SHIFT_CLIP, math.cosh(self.shift)
+
+        def shifted(z):
+            z = np.minimum(np.maximum(z, -limit), limit)
+            return c * np.sinh(z) / np.cosh(z - s)
+
+        return shifted
+
+    def __call__(self, z):
+        return self._function()(z)
 
     def derivative(self, z):
         if self.kind == "odd":
@@ -250,21 +262,50 @@ class NetworkSpec:
         )
 
 
-def _edge_gains(spec: NetworkSpec, x: np.ndarray, u0: float) -> np.ndarray:
-    """Gain of each modulated edge: u0 + sum of w * x_k**n, added in M's order."""
-    v = spec._m_weight * _power(x, spec.order)[spec._m_k]
-    gains = u0 + v[spec._edge_first]
-    if spec._edge_later.size:
-        np.add.at(gains, spec._edge_later[0], v[spec._edge_later[1]])
+def _edge_gains_at(spec: NetworkSpec, u0: float):
+    """x -> the gain of each modulated edge, u0 + sum of w * x_k**n, with
+    the terms added in M's order."""
+    n, w, k = spec.order, spec._m_weight, spec._m_k
+    if not spec._edge_later.size:
+        # one triplet per edge, so the first triplets are 0, 1, ... in M's
+        # order and (w * x[k])[first] is w * x[k], one fancy index fewer
+        return lambda x: u0 + w * _power(x, n)[k]
+    first, (slot, later) = spec._edge_first, spec._edge_later
+
+    def edge_gains(x):
+        v = w * _power(x, n)[k]
+        g = u0 + v[first]
+        np.add.at(g, slot, v[later])
+        return g
+
+    return edge_gains
+
+
+def _gains_at(spec: NetworkSpec, u0: float):
+    """x -> A * modulated_gains(spec, x, u0), at a fixed u0.
+
+    A * u0 is formed once; each call rewrites only the modulated edges of
+    that one buffer and returns it, so a caller that writes into the result
+    builds its own.
+    """
+    dp = spec.A * u0
+    if not spec.M:
+        return lambda x: dp
+    flat, at, a, edge_gains = dp.reshape(-1), spec._edge_at, spec._edge_a, _edge_gains_at(spec, u0)
+
+    def gains(x):
+        flat[at] = a * edge_gains(x)
+        return dp
+
     return gains
 
 
-def _weighted_gains(spec: NetworkSpec, x: np.ndarray, u0: float) -> np.ndarray:
-    """A * modulated_gains: a_ij * u0, with the modulated edges overwritten."""
-    dp = spec.A * u0
-    if spec.M:
-        dp.reshape(-1)[spec._edge_at] = spec._edge_a * _edge_gains(spec, x, u0)
-    return dp
+def _field_at(spec: NetworkSpec, u0: float):
+    """x -> vector_field(spec, x, u0) for a float vector x, with the u0-only
+    work (A * u0, the saturation's constants) done once.  The closure owns
+    the buffer of ``_gains_at``: build one per caller."""
+    gains, S, b, tau = _gains_at(spec, u0), spec.saturation._function(), spec.b, spec.tau
+    return lambda x: (b - x + S(gains(x) @ x)) / tau
 
 
 def modulated_gains(spec: NetworkSpec, x, u0: float) -> np.ndarray:
@@ -274,20 +315,19 @@ def modulated_gains(spec: NetworkSpec, x, u0: float) -> np.ndarray:
     """
     gains = np.full(spec.N * spec.N, float(u0))
     if spec.M:
-        gains[spec._edge_at] = _edge_gains(spec, np.asarray(x, dtype=float), u0)
+        gains[spec._edge_at] = _edge_gains_at(spec, u0)(np.asarray(x, dtype=float))
     return gains.reshape(spec.N, spec.N)
 
 
 def inner_argument(spec: NetworkSpec, x, u0: float) -> np.ndarray:
     """Saturation argument p(x): p_i = sum_j a_ij * gain_ij(x) * x_j."""
     x = np.asarray(x, dtype=float)
-    return _weighted_gains(spec, x, u0) @ x
+    return _gains_at(spec, u0)(x) @ x
 
 
 def vector_field(spec: NetworkSpec, x, u0: float) -> np.ndarray:
     """Right-hand side of the opinion dynamics: (-x + b + S(p(x))) / tau."""
-    x = np.asarray(x, dtype=float)
-    return (spec.b - x + spec.saturation(_weighted_gains(spec, x, u0) @ x)) / spec.tau
+    return _field_at(spec, u0)(np.asarray(x, dtype=float))
 
 
 def jacobian(spec: NetworkSpec, x, u0: float) -> np.ndarray:
@@ -310,7 +350,7 @@ def linearize(spec: NetworkSpec, x, u0: float):
     """
     x = np.asarray(x, dtype=float)
     n = spec.order
-    dp = _weighted_gains(spec, x, u0)
+    dp = _gains_at(spec, u0)(x)  # a buffer of its own: the slopes are added into it
     p = dp @ x
     sp = spec.saturation.derivative(p)
     if spec.M:

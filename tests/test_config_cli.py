@@ -262,6 +262,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("equilibrium", {"u0": "nan"}, "u0"),
         ("simulate", {"x0_scale": float("inf")}, "x0_scale"),
         ("simulate", {"t_end": -1}, "t_end"),
+        ("simulate", {"t_end": 1e15}, "t_end"),
     ]:
         cfg = write_config(tmp_path, {"scenario": {"name": "two_node"}, "params": params})
         assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2

@@ -135,6 +135,53 @@ def test_settle_rejects_tolerance_without_a_positive_error_scale(tol, tau):
         settle(spec, np.array([0.1, -0.1]), 1.0, tol=tol)
 
 
+@pytest.mark.parametrize("dt, t_max", [(0.0, None), (float("nan"), None), (-0.05, None),
+                                       (float("inf"), None), (None, float("nan")),
+                                       (None, 0.0), (None, -1.0), (None, float("inf"))])
+def test_settle_rejects_a_step_or_time_budget_that_is_not_positive_and_finite(dt, t_max):
+    # a zero or NaN first step never advances t, a negative one integrates
+    # backward, and a NaN t_max switches the time budget off
+    with pytest.raises(ValueError, match="dt and t_max must be positive and finite"):
+        settle(build_two_node(1.0, 1), np.array([0.8, -0.8]), 0.95, dt=dt, t_max=t_max)
+
+
+@pytest.mark.parametrize("t_end, dt, message", [
+    (1e15, None, "samples"), (float("inf"), None, "samples"), (1.0, 1e-8, "samples"),
+    (1.0, float("inf"), "dt must be positive and finite"),
+])
+def test_integrate_refuses_a_grid_it_cannot_hold(t_end, dt, message):
+    # refused before the time grid is allocated: 1e15 / 0.01 samples would
+    # take 1e17 list entries
+    with pytest.raises(ValueError, match=message):
+        integrate(build_two_node(0.0, 1), np.array([0.1, -0.1]), 1.0, t_end, dt)
+
+
+def test_field_evaluations_per_settle_and_integrate(monkeypatch):
+    # counts [builds, evaluations] of the field settle and integrate build
+    counts = [0, 0]
+    build = dynamics._field_at
+
+    def counting(spec, u0):
+        counts[0] += 1
+        f = build(spec, u0)
+
+        def field(x):
+            counts[1] += 1
+            return f(x)
+
+        return field
+
+    monkeypatch.setattr(dynamics, "_field_at", counting)
+    # one window settle of the two-node pair: f at x0, then six evaluations
+    # for each of its 155 step attempts, accepted or rejected
+    settle(build_two_node(1.0, 1), np.array([0.8, -0.8]), 0.95, tol=1e-9, t_max=5000)
+    assert counts == [1, 931]
+    # RK4: four evaluations per step, 10 full steps and the short last one
+    counts[:] = [0, 0]
+    traj = integrate(build_two_node(1.0, 1), np.array([0.5, -0.5]), 1.0, 1.05, dt=0.1)
+    assert counts == [1, 4 * (len(traj.times) - 1)] == [1, 44]
+
+
 def test_non_finite_initial_state_rejected():
     spec = build_two_node(0.0, 1)
     with pytest.raises(NonFinite):
@@ -150,16 +197,16 @@ def test_settle_is_bit_identical_on_repeat():
 def test_settle_raises_on_a_field_that_turns_non_finite(monkeypatch):
     # the field is NaN beyond x_1 = 0.5, on the way to the attractor at 1:
     # rejected steps shrink until they underflow, and settle must raise
-    def field(spec, x, u0):
+    def field(x):
         return np.full(x.shape, np.nan) if x[0] > 0.5 else 1.0 - x
 
-    monkeypatch.setattr(dynamics, "vector_field", field)
+    monkeypatch.setattr(dynamics, "_field_at", lambda spec, u0: field)
     with pytest.raises(NonFinite):
         settle(build_two_node(0.0, 1), np.zeros(2), 0.5)
 
 
 def test_settle_raises_on_a_non_finite_field_at_the_start(monkeypatch):
-    monkeypatch.setattr(dynamics, "vector_field", lambda spec, x, u0: np.full(x.shape, np.inf))
+    monkeypatch.setattr(dynamics, "_field_at", lambda spec, u0: lambda x: np.full(x.shape, np.inf))
     with pytest.raises(NonFinite):
         settle(build_two_node(0.0, 1), np.zeros(2), 0.5)
 

@@ -16,7 +16,7 @@ from modnod import (
     modulated_gains,
     vector_field,
 )
-from modnod.model import MAX_SHIFT, linearize
+from modnod.model import MAX_SHIFT, _field_at, linearize
 
 
 def random_spec(rng, n_max=6, orders=(1, 2, 3)):
@@ -341,6 +341,16 @@ def test_linearize_matches_field_loop_jacobian_and_u0_difference(case):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(vector_field(spec_f, x, u0), field)
     np.testing.assert_array_equal(inner_argument(spec_f, x, u0), p)
+    # one closure per spec evaluated on a sequence of states rewrites one
+    # gains buffer; every result still equals the loop, signed zeros included
+    states = (x, -x, np.roll(x, 1), np.zeros(spec.N), -np.zeros(spec.N), x)
+    for s in (spec, spec_f):
+        f_at = _field_at(s, u0)
+        results = [f_at(y) for y in states]
+        for y, got in zip(states, results):
+            want = loop_field(spec, y, u0)[2]
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
     # central difference in u0: rounding is about eps * |F terms| / h, and the
     # truncation h**2 / 6 * |d3F/du0^3| is far below it at h = 1e-6
     h = 1e-6
