@@ -29,9 +29,12 @@ corrector hands the converged point's J and F_u0 on: the tangent solve
 reuses them, and one ``eigvals`` of that J gives both the point's stability
 (leading eigenvalue) and the sign of det J, which event detection reads
 instead of re-evaluating.  A real eigenvalue is one with ``imag == 0``.  All
-bordered systems go through ``_bordered_solve``; step-control factors,
-tolerances and branch-switch offsets are module constants, not
-``StepParams`` fields or keyword arguments.
+bordered systems go through ``_bordered_solve``, and every dense solve and
+eigen-solve through ``spectral._solve`` and ``spectral._eigvals``: numpy's
+bits without the wrappers' per-call checks, None for a singular matrix and
+NonConvergence for a non-finite one.  Step-control factors, tolerances and
+branch-switch offsets are module constants, not ``StepParams`` fields or
+keyword arguments.
 
 Mirror branches are reflected, not traced.  A flippable block is a connected
 component of the graph of A (a_ij != 0, i != j) on which b is zero and, for
@@ -48,6 +51,7 @@ eigenvalues, stability and event classifications unchanged.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -62,7 +66,8 @@ from .errors import (
     StallError,
 )
 from .model import NetworkSpec, as_state, linearize
-from .spectral import _fix_sign, eigenpair_near, max_entry_normalized, nearest_real
+from .spectral import (_eigvals, _fix_sign, _lapack, _solve, eigenpair_near,
+                       max_entry_normalized, nearest_real)
 
 __all__ = [
     "StepParams",
@@ -172,6 +177,12 @@ class Branch:
 # Newton solvers
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a contiguous 1-D float array, bit for bit:
+    the square root of v . v, without the wrapper's dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def newton_equilibrium(
     spec: NetworkSpec,
     x_guess,
@@ -190,22 +201,21 @@ def newton_equilibrium(
     x = as_state(x_guess, spec.N).copy()
 
     res, jac, _ = linearize(spec, x, u0)
-    rnorm = np.linalg.norm(res)
+    rnorm = _norm(res)
     for _ in range(max_iter):
         if rnorm < NEWTON_TOL:
             return x
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
+        step = _solve(jac, -res)
+        if step is None:
             raise SingularJacobian(
                 f"Jacobian singular at u0={u0:.6g} (residual {rnorm:.3e})"
-            ) from exc
+            )
         damping = 1.0
         while damping >= 2.0 ** -30:
             trial = x + damping * step
             trial_res, trial_jac, _ = linearize(spec, trial, u0)
-            trial_norm = np.linalg.norm(trial_res)
-            if np.isfinite(trial_norm) and trial_norm < rnorm:
+            trial_norm = _norm(trial_res)
+            if math.isfinite(trial_norm) and trial_norm < rnorm:
                 x, res, jac, rnorm = trial, trial_res, trial_jac, trial_norm
                 break
             damping *= 0.5
@@ -229,11 +239,8 @@ def _bordered_solve(jac: np.ndarray, col: np.ndarray, row: np.ndarray, rhs: np.n
     bordered[:n, :n] = jac
     bordered[:n, n] = col
     bordered[n] = row
-    try:
-        z = np.linalg.solve(bordered, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    return z if np.isfinite(z).all() else None
+    z = _solve(bordered, rhs)
+    return z if z is not None and np.isfinite(z).all() else None
 
 
 def _bordered_correct(spec: NetworkSpec, z0: np.ndarray, direction: np.ndarray):
@@ -246,7 +253,7 @@ def _bordered_correct(spec: NetworkSpec, z0: np.ndarray, direction: np.ndarray):
     z = z0.copy()
     for it in range(CORRECTOR_ITERS + 1):
         res, jac, f_u0 = linearize(spec, z[:n], z[n])
-        if np.linalg.norm(res) < NEWTON_TOL:
+        if _norm(res) < NEWTON_TOL:
             return z, it, jac, f_u0
         if it == CORRECTOR_ITERS:
             return None
@@ -266,21 +273,26 @@ def _tangent(jac: np.ndarray, f_u0: np.ndarray, prev: np.ndarray) -> np.ndarray:
     if t is None:
         # singular exactly at a branch point; reuse the previous tangent
         return prev.copy()
-    t /= np.linalg.norm(t)
+    t /= _norm(t)
     return -t if t @ prev < 0 else t
 
 
-def _det_sign(vals: np.ndarray) -> float:
-    """Sign of det J from the eigenvalues ``vals`` of a real J: a complex
-    pair contributes |lambda|^2 > 0, so only the real ones count."""
-    return float(np.prod(np.sign(vals.real[vals.imag == 0])))
+def _det_sign(vals: list) -> float:
+    """Sign of det J from the eigenvalues ``vals`` (a list of complex) of a
+    real J: a complex pair contributes |lambda|^2 > 0, so only the real ones
+    count, and a zero one makes it 0."""
+    sign = 1.0
+    for v in vals:
+        if v.imag == 0:
+            sign *= (v.real > 0) - (v.real < 0)
+    return sign
 
 
 def _branch_point(x: np.ndarray, u0: float, tangent: np.ndarray, jac: np.ndarray) -> BranchPoint:
     """BranchPoint at an equilibrium with Jacobian ``jac``: one eigen-solve
     gives both the leading eigenvalue and the event test value."""
-    vals = np.linalg.eigvals(jac)
-    lead = float(np.max(vals.real))
+    vals = _eigvals(jac).tolist()
+    lead = max([v.real for v in vals])
     return BranchPoint(u0=float(u0), x=x, leading_jac_eig=lead, stable=lead < 0.0,
                        tangent=tangent, det_sign=_det_sign(vals))
 
@@ -400,7 +412,7 @@ def _refine_event(spec, za, zb, sa):
     correction fails.
     """
     d = zb - za
-    secant = d / np.linalg.norm(d)
+    secant = d / _norm(d)
     lo, hi = 0.0, 1.0
     best = (None, np.inf, None)  # (z, eig, J) with the smallest |eig| so far
     for _ in range(30):
@@ -409,14 +421,14 @@ def _refine_event(spec, za, zb, sa):
         if corrected is None:
             return None
         zm, _, jac, _ = corrected
-        vals = np.linalg.eigvals(jac)
+        vals = _eigvals(jac)
         idx = nearest_real(vals, 0.0)
         eig = np.nan if idx is None else float(vals[idx].real)
         if abs(eig) < abs(best[1]):  # False when no eigenvalue is real
             best = (zm, eig, jac)
         if abs(eig) <= EVENT_EIG_TOL:
             return zm, eig, jac
-        if sa * _det_sign(vals) < 0:
+        if sa * _det_sign(vals.tolist()) < 0:
             hi = mid
         else:
             lo = mid
@@ -427,7 +439,7 @@ def _refine_event(spec, za, zb, sa):
 
 def _kernel_vector(jac):
     """Unit right eigenvector of ``jac`` for its real eigenvalue nearest zero."""
-    vals, vecs = np.linalg.eig(jac)
+    vals, vecs = _lapack(np.linalg.eig, jac)
     idx = nearest_real(vals, 0.0)
     if idx is None:
         return None
@@ -466,7 +478,7 @@ def detect_events(spec: NetworkSpec, points) -> list:
         return events
     signs = [
         p.det_sign if p.det_sign is not None
-        else _det_sign(np.linalg.eigvals(linearize(spec, p.x, p.u0)[1]))
+        else _det_sign(_eigvals(linearize(spec, p.x, p.u0)[1]).tolist())
         for p in points
     ]
     for i in range(len(points) - 1):

@@ -15,14 +15,17 @@ bifurcation parameter, passed to every evaluation rather than stored), and
 The public functions are pure functions of immutable inputs, and specs are
 freely shareable across threads.  A spec compiles its modulation triplets
 once, at construction, into index and weight arrays and one slot per
-distinct modulated edge.  One kernel, ``_gains_at(spec, u0)``, forms
-a_ij * u0 once and returns x -> A * G(x): that buffer with only those edges
-overwritten by the sums of a loop over M.  ``_field_at(spec, u0)`` builds
-on it the field x -> F(x, u0), with the saturation resolved once; the time
-steppers build one per call, since u0 is fixed there.  Such a closure owns
-its buffer and is not shared.  ``vector_field`` is one evaluation of it;
-``linearize`` evaluates F, its Jacobian and dF/du0 from one build of A * G
-and of p, and returns exactly (bit for bit) the same F.
+distinct modulated edge.  One kernel, ``_edge_gains(spec, x, u0)``, sums
+the gains of those edges as a loop over M would.  ``_gains_at(spec, u0)``
+forms a_ij * u0 once and returns x -> A * G(x): that buffer with only those
+edges overwritten.  ``_field_at(spec, u0)`` builds on it the field
+x -> F(x, u0), with the saturation resolved once; the time steppers build
+one per call, since u0 is fixed there.  Such a closure owns its buffer and
+is not shared.  ``vector_field`` is one evaluation of it.  ``linearize``,
+which continuation calls at a new u0 every time, builds no closure: it
+forms A * G and p once, takes S and S' from one pass
+(``Saturation.value_and_derivative``), and returns exactly (bit for bit)
+the same F.
 """
 
 from __future__ import annotations
@@ -121,6 +124,16 @@ class Saturation:
         if self.kind == "odd":
             return 1.0 - np.tanh(z) ** 2
         return (math.cosh(self.shift) / np.cosh(self._clipped(z) - self.shift)) ** 2
+
+    def value_and_derivative(self, z):
+        """(S(z), S'(z)) from one tanh, or one clip and one cosh(z - s): the
+        same bits as ``self(z)`` and ``self.derivative(z)``."""
+        if self.kind == "odd":
+            t = np.tanh(z)
+            return t, 1.0 - t ** 2
+        z = self._clipped(z)
+        c, r = math.cosh(self.shift), np.cosh(z - self.shift)
+        return c * np.sinh(z) / r, (c / r) ** 2
 
     def derivatives_at_zero(self) -> tuple:
         """(S''(0), S'''(0)) = (2 tanh s, 6 tanh(s)^2 - 2); s = 0 for ``odd``."""
@@ -262,23 +275,18 @@ class NetworkSpec:
         )
 
 
-def _edge_gains_at(spec: NetworkSpec, u0: float):
-    """x -> the gain of each modulated edge, u0 + sum of w * x_k**n, with
-    the terms added in M's order."""
-    n, w, k = spec.order, spec._m_weight, spec._m_k
+def _edge_gains(spec: NetworkSpec, x: np.ndarray, u0: float) -> np.ndarray:
+    """The gain of each modulated edge at (x, u0), u0 + sum of w * x_k**n,
+    with the terms added in M's order."""
+    v = spec._m_weight * _power(x, spec.order)[spec._m_k]
     if not spec._edge_later.size:
         # one triplet per edge, so the first triplets are 0, 1, ... in M's
-        # order and (w * x[k])[first] is w * x[k], one fancy index fewer
-        return lambda x: u0 + w * _power(x, n)[k]
-    first, (slot, later) = spec._edge_first, spec._edge_later
-
-    def edge_gains(x):
-        v = w * _power(x, n)[k]
-        g = u0 + v[first]
-        np.add.at(g, slot, v[later])
-        return g
-
-    return edge_gains
+        # order and v[first] is v, one fancy index fewer
+        return u0 + v
+    slot, later = spec._edge_later
+    g = u0 + v[spec._edge_first]
+    np.add.at(g, slot, v[later])
+    return g
 
 
 def _gains_at(spec: NetworkSpec, u0: float):
@@ -291,10 +299,10 @@ def _gains_at(spec: NetworkSpec, u0: float):
     dp = spec.A * u0
     if not spec.M:
         return lambda x: dp
-    flat, at, a, edge_gains = dp.reshape(-1), spec._edge_at, spec._edge_a, _edge_gains_at(spec, u0)
+    flat, at, a = dp.reshape(-1), spec._edge_at, spec._edge_a
 
     def gains(x):
-        flat[at] = a * edge_gains(x)
+        flat[at] = a * _edge_gains(spec, x, u0)
         return dp
 
     return gains
@@ -315,7 +323,7 @@ def modulated_gains(spec: NetworkSpec, x, u0: float) -> np.ndarray:
     """
     gains = np.full(spec.N * spec.N, float(u0))
     if spec.M:
-        gains[spec._edge_at] = _edge_gains_at(spec, u0)(np.asarray(x, dtype=float))
+        gains[spec._edge_at] = _edge_gains(spec, np.asarray(x, dtype=float), u0)
     return gains.reshape(spec.N, spec.N)
 
 
@@ -350,12 +358,16 @@ def linearize(spec: NetworkSpec, x, u0: float):
     """
     x = np.asarray(x, dtype=float)
     n = spec.order
-    dp = _gains_at(spec, u0)(x)  # a buffer of its own: the slopes are added into it
-    p = dp @ x
-    sp = spec.saturation.derivative(p)
+    dp = spec.A * u0  # A * G, then dp/dx once the slopes are added
     if spec.M:
+        flat = dp.reshape(-1)
+        flat[spec._edge_at] = spec._edge_a * _edge_gains(spec, x, u0)
+        p = dp @ x
         slope = spec._m_slope if n == 1 else spec._m_slope * _power(x, n - 1)[spec._m_k]
-        np.add.at(dp.reshape(-1), spec._slope_at, slope * x[spec._m_j])
-    f = (spec.b - x + spec.saturation(p)) / spec.tau
+        np.add.at(flat, spec._slope_at, slope * x[spec._m_j])
+    else:
+        p = dp @ x
+    s, sp = spec.saturation.value_and_derivative(p)
+    f = (spec.b - x + s) / spec.tau
     jac = (sp[:, None] * dp - spec._eye) / spec.tau
     return f, jac, sp * (spec.A @ x) / spec.tau

@@ -6,6 +6,13 @@ lambda_max)``.  Because the Jacobian at the origin does not see the
 modulation coefficients, everything here reads only A and S'(0).  Eigenpairs
 come from ``np.linalg.eig``; the left eigenvector w of a simple real lambda is
 the left singular vector of ``A - lambda * I`` for its least singular value.
+
+The dense solves and eigen-solves of continuation (thousands a diagram, at
+N <= 5) go through ``_solve`` and ``_eigvals``.  They call the gufuncs
+behind ``np.linalg.solve`` and ``np.linalg.eigvals`` (in numpy's private
+``numpy.linalg._umath_linalg``) directly, because at these sizes the
+wrappers' checks cost more than LAPACK's own work.  The results are the
+wrappers' bits; a test pins that contract to the installed numpy.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from dataclasses import dataclass, replace
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateLeader, NonConvergence, NonFinite, NoStrictLeader
 from .model import NetworkSpec
@@ -78,6 +86,32 @@ def _lapack(solver, A: np.ndarray):
         return solver(A)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"dense eigen/singular value iteration failed: {exc}") from exc
+
+
+def _solve(a: np.ndarray, b: np.ndarray):
+    """``np.linalg.solve(a, b)`` for a float (n, n) a and (n,) b, bit for bit,
+    or None where that raises "Singular matrix" (LAPACK's ``xGESV`` meets a
+    zero pivot).  It calls the gufunc behind the wrapper, under the
+    wrapper's floating-point rules, without its per-call checks."""
+    try:
+        with np.errstate(all="ignore", invalid="raise"):
+            return _umath_linalg.solve1(a, b, signature="dd->d")
+    except FloatingPointError:  # the gufunc flags a singular a as invalid
+        return None
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals(a)`` for a float (n, n) a, bit for bit, always as a
+    complex array.  Like the wrapper it refuses a non-finite a, on which
+    ``xGEEV`` can fail or not return; NonConvergence then, or when
+    ``xGEEV`` does not converge."""
+    if not np.isfinite(a).all():
+        raise NonConvergence("eigenvalues of a matrix with non-finite entries")
+    try:
+        with np.errstate(all="ignore", invalid="raise"):
+            return _umath_linalg.eigvals(a, signature="d->D")
+    except FloatingPointError as exc:  # the gufunc flags no convergence as invalid
+        raise NonConvergence("dense eigenvalue iteration did not converge") from exc
 
 
 def nearest_real(vals: np.ndarray, target: float) -> int | None:

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 from itertools import product
@@ -13,6 +14,7 @@ from modnod import (
     EventKind,
     NetworkSpec,
     NewtonDiverged,
+    NonConvergence,
     SingularJacobian,
     StallError,
     StepParams,
@@ -29,6 +31,7 @@ from modnod import (
     trace_branch,
     vector_field,
 )
+from modnod.cli import main
 from modnod.config import spec_from_json
 from modnod.model import Saturation, linearize
 from modnod.scenarios import build_scenario, drive_steer_label
@@ -392,9 +395,83 @@ def test_bordered_solve_rejects_singular_and_non_finite_systems():
     row, rhs = np.array([0.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0])
     z = continuation._bordered_solve(jac, col, row, rhs)
     np.testing.assert_allclose(np.block([[jac, col[:, None]], [row]]) @ z, rhs, rtol=1e-14)
-    # a border row repeating the first row of [J, c] makes the matrix singular
-    assert continuation._bordered_solve(jac, col, np.array([1.0, 0.0, 1.0]), rhs) is None
-    assert continuation._bordered_solve(jac, col, row, np.array([np.inf, 2.0, 3.0])) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # silently: no RuntimeWarning
+        # a border row repeating the first row of [J, c] makes the matrix singular
+        assert continuation._bordered_solve(jac, col, np.array([1.0, 0.0, 1.0]), rhs) is None
+        assert continuation._bordered_solve(jac, col, row, np.array([np.inf, 2.0, 3.0])) is None
+        assert continuation._bordered_solve(np.diag([1.0, np.nan]), col, row, rhs) is None
+
+
+def test_norm_and_det_sign_equal_their_numpy_forms_bit_for_bit():
+    def check_det_sign(vals):
+        want = float(np.prod(np.sign(vals.real[vals.imag == 0])))
+        got = continuation._det_sign(vals.tolist())
+        assert got == want and np.signbit(got) == np.signbit(want)
+
+    check_det_sign(np.array([1.0, -0.0, -2.0, 0.0, 1j, -1j]))
+    check_det_sign(np.array([1j, -1j]))
+    rng = np.random.default_rng(4)
+    for n in range(1, 7):
+        for _ in range(100):
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-150, 150)
+            assert continuation._norm(v) == np.linalg.norm(v)
+            a = rng.standard_normal((n, n))
+            a[:, rng.random(n) < 0.3] = 0.0  # zero columns give zero eigenvalues
+            check_det_sign(np.linalg.eigvals(a).astype(complex))
+
+
+def test_non_finite_jacobian_at_a_branch_point_is_a_typed_error(monkeypatch, tmp_path, capsys):
+    # a J with a NaN at converged points past u0 = 0.5 reaches the eigen-solve
+    # of _branch_point; it raises NonConvergence, which diagram lets through
+    # and the CLI reports with exit code 1
+    def poisoned(spec, x, u0):
+        f, jac, f_u0 = linearize(spec, x, u0)
+        if u0 > 0.5 and np.linalg.norm(f) < continuation.NEWTON_TOL:
+            jac = jac.copy()
+            jac[0, 0] = np.nan
+        return f, jac, f_u0
+
+    monkeypatch.setattr(continuation, "linearize", poisoned)
+    with pytest.raises(NonConvergence):
+        diagram(build_two_node(1.0, 1), (0.0, 1.5))
+    cfg = '{"scenario": {"name": "two_node"}, "params": {"u0_range": [0.0, 1.5]}}'
+    out = tmp_path / "out"
+    assert main(["diagram", "--config", cfg, "--out", str(out)]) == 1
+    assert "NonConvergence" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scenario_diagram_counts_are_pinned(monkeypatch):
+    # the work of one diagram, by wrapper: linearisations, bordered
+    # corrections and solves, eigen-solves, and exactly one eigen-solve per
+    # traced point (the rest refine events)
+    counts = dict.fromkeys(("linearize", "_bordered_correct", "_bordered_solve", "_eigvals"), 0)
+    per_point = []
+
+    def counting(name):
+        inner = getattr(continuation, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(continuation, name, counting(name))
+    branch_point = continuation._branch_point
+
+    def recording(*args):
+        before = counts["_eigvals"]
+        point = branch_point(*args)
+        per_point.append(counts["_eigvals"] - before)
+        return point
+
+    monkeypatch.setattr(continuation, "_branch_point", recording)
+    diagram(build_scenario("drive_steer", m_bar=2.0), (0.05, 11.0))
+    assert counts == {"linearize": 2076, "_bordered_correct": 814, "_bordered_solve": 1893,
+                      "_eigvals": 805}
+    assert per_point == [1] * 680
 
 
 # -- step parameters ---------------------------------------------------------

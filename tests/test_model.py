@@ -62,6 +62,20 @@ def test_saturation_derivative_matches_central_difference(sat):
         assert abs(sat.derivative(z) - fd) <= 1e-8 * max(1.0, abs(fd))
 
 
+@pytest.mark.parametrize("sat", [Saturation.odd(), Saturation.shifted(-3.0),
+                                 Saturation.shifted(0.6), Saturation.shifted(18.0)])
+def test_value_and_derivative_equal_call_and_derivative_bit_for_bit(sat):
+    # z spans the clipped region |z| > |s| + 20 of the shifted form
+    reach = abs(sat.shift) + 30.0
+    z = np.concatenate([[0.0, -0.0, 1e300, -1e300], np.linspace(-reach, reach, 4001),
+                        np.random.default_rng(6).uniform(-3.0, 3.0, 200)])
+    for arg in (z, 0.0, -0.0, 0.3, -reach):
+        s, sp = sat.value_and_derivative(arg)
+        for got, want in ((s, sat(arg)), (sp, sat.derivative(arg))):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("shift", [18.0, 20.0, -20.0])
 def test_large_shift_saturation_matches_closed_form(shift):
     # tanh(z - s) + tanh(s) cancels to nothing once tanh(s) rounds to 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from modnod import (
     DegenerateLeader,
     NetworkSpec,
     NoStrictLeader,
+    NonConvergence,
     NonFinite,
     Saturation,
     build_drive_steer,
@@ -17,7 +20,7 @@ from modnod import (
     leading_eigenpair,
     max_entry_normalized,
 )
-from modnod.spectral import nearest_real
+from modnod.spectral import _eigvals, _solve, nearest_real
 
 
 def test_full_spectrum_identity():
@@ -205,3 +208,47 @@ def test_max_entry_normalized_ring_gives_ones():
     np.testing.assert_allclose(eig.v_max, np.ones(5), atol=1e-12)
     np.testing.assert_allclose(eig.w_max, np.ones(5) / 5.0, atol=1e-12)
     assert abs(eig.w_max @ eig.v_max - 1.0) < 1e-12
+
+
+def assert_solve_matches_numpy(m, b):
+    """_solve(m, b) is None where np.linalg.solve raises, else its bits."""
+    x = _solve(m, b)
+    try:
+        want = np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        assert x is None
+        return
+    np.testing.assert_array_equal(x, want)
+    np.testing.assert_array_equal(np.signbit(x), np.signbit(want))
+
+
+def test_solve_and_eigvals_helpers_equal_numpy_linalg_bit_for_bit():
+    # the hot path calls numpy.linalg's private gufuncs; this pins them to
+    # the public wrappers, signed zeros included
+    rng = np.random.default_rng(21)
+    for n in range(1, 7):
+        for _ in range(40):
+            a, b = rng.standard_normal((n, n)), rng.standard_normal(n)
+            a[rng.random((n, n)) < 0.2] = 0.0  # some of these are singular
+            # a general, a symmetric (real eigenvalues: the wrapper returns
+            # floats) and a column-major matrix
+            for m in (a, a + a.T, np.asfortranarray(a)):
+                assert_solve_matches_numpy(m, b)
+                vals, want = _eigvals(m), np.linalg.eigvals(m)
+                assert vals.dtype == complex
+                for got, ref in ((vals.real, want.real), (vals.imag, np.imag(want))):
+                    np.testing.assert_array_equal(got, ref)
+                    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the gufuncs
+        assert _solve(np.ones((3, 3)), np.ones(3)) is None
+        assert _solve(np.zeros((1, 1)), np.ones(1)) is None
+        for bad in (np.diag([1.0, np.nan]), np.array([[np.nan, 2.0], [2.0, 4.0]]),
+                    np.array([[1.0, np.inf], [0.0, 1.0]])):
+            assert_solve_matches_numpy(bad, np.ones(2))
+            # eigvals refuses a non-finite matrix; the helper raises the typed error
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.eigvals(bad)
+            with pytest.raises(NonConvergence):
+                _eigvals(bad)
