@@ -33,7 +33,7 @@ bordered systems go through ``_bordered_solve``, and every dense solve and
 eigen-solve through ``spectral._solve`` and ``spectral._eigvals``: numpy's
 bits without the wrappers' per-call checks, None for a singular matrix and
 NonConvergence for a non-finite one.  Step-control factors, tolerances and
-branch-switch offsets are module constants, not ``StepParams`` fields or
+the branch-switch offset are module constants, not ``StepParams`` fields or
 keyword arguments.
 
 Mirror branches are reflected, not traced.  A flippable block is a connected
@@ -99,15 +99,14 @@ STEP_GROW = 1.3
 STEP_SHRINK = 0.5
 FAST_ITERS = 3
 CORRECTOR_ITERS = 8
-#: branch-switch seed offset along the kernel, and in u0 for the fallback
+#: branch-switch seed offset from the event, across the parent branch
 SWITCH_EPS = 1e-2
-SWITCH_DU0 = 5e-3
 #: a landing on a seed's hyperplane this close to the seed is the seed.  Both
 #: solve the bordered system B at the seed to residual NEWTON_TOL, so they
 #: differ by at most 2 ||B^-1|| NEWTON_TOL; ||B^-1|| grows like 1/SWITCH_EPS at
-#: a switched seed (<= 722 on the scenarios and 600 random specs), so ~1.5e-9
-#: (measured <= 8.5e-11).  The other branch through the event lies about
-#: SWITCH_EPS away (measured >= 7.2e-3).
+#: a switched seed (<= 2,732 on the scenarios and 900 random specs, <= 722 at
+#: seeds landed on), so <= 5.5e-9 (measured <= 1.0e-10).  The other branch
+#: through the event lies about SWITCH_EPS away (measured >= 1.2e-2).
 CLOSURE_TOL = 1e-6
 
 
@@ -163,6 +162,9 @@ class BifurcationEvent:
     x: np.ndarray
     eigenvalue: float = 0.0       # real Jacobian eigenvalue nearest zero
     kernel: np.ndarray | None = None  # unit right null vector of J at the event
+    #: unit secant of the refined bracket in (x, u0): the parent's direction
+    #: there, where the exact tangent solve is singular
+    tangent: np.ndarray | None = None
     detail: object | None = None  # reduction.LSReport for classified events
 
 
@@ -406,10 +408,10 @@ def _refine_event(spec, za, zb, sa):
     (``sa`` at za), on that sign.  Each midpoint is corrected back onto the
     branch along the secant, so the parametrization survives folds.
 
-    Returns (z, eig, J) with eig the real Jacobian eigenvalue nearest zero,
-    |eig| <= EVENT_EIG_TOL, and J the Jacobian at z; after 30 halvings the
-    midpoint with the smallest such |eig| when that is <= 1e-6; None when a
-    correction fails.
+    Returns (z, eig, J, secant) with eig the real Jacobian eigenvalue
+    nearest zero, |eig| <= EVENT_EIG_TOL, J the Jacobian at z and secant the
+    unit secant of the bracket; after 30 halvings the midpoint with the
+    smallest such |eig| when that is <= 1e-6; None when a correction fails.
     """
     d = zb - za
     secant = d / _norm(d)
@@ -427,13 +429,13 @@ def _refine_event(spec, za, zb, sa):
         if abs(eig) < abs(best[1]):  # False when no eigenvalue is real
             best = (zm, eig, jac)
         if abs(eig) <= EVENT_EIG_TOL:
-            return zm, eig, jac
+            return zm, eig, jac, secant
         if sa * _det_sign(vals.tolist()) < 0:
             hi = mid
         else:
             lo = mid
     if abs(best[1]) <= 1e-6:
-        return best
+        return (*best, secant)
     return None
 
 
@@ -491,7 +493,7 @@ def detect_events(spec: NetworkSpec, points) -> list:
         if refined is None:
             log.debug("no refined crossing on [%0.6g, %0.6g]", pa.u0, pb.u0)
             continue
-        z_ev, eig_ev, jac_ev = refined
+        z_ev, eig_ev, jac_ev, secant = refined
         x_ev, u0_ev = z_ev[:-1], float(z_ev[-1])
         fold = pa.tangent[-1] * pb.tangent[-1] < 0
 
@@ -517,6 +519,7 @@ def detect_events(spec: NetworkSpec, points) -> list:
                 x=x_ev,
                 eigenvalue=float(eig_ev),
                 kernel=_kernel_vector(jac_ev),
+                tangent=secant,
                 detail=detail,
             )
         )
@@ -534,17 +537,18 @@ def switch_branch(
 ) -> BranchPoint:
     """Jump from a steady-state bifurcation onto the emanating branch.
 
-    The seed displacement is direction * SWITCH_EPS along the kernel
-    direction at the event.  The emanating point is found by the corrector
-    along (kernel, 0), which pins the kernel amplitude and frees u0;
-    when that lands back on the parent branch, a plain Newton solve from the
-    displaced seed at u0 +- SWITCH_DU0 is tried instead (this recovers
-    branches switched from off the neutral branch).  A result is accepted
-    only when it leaves the parent branch.
+    At a simple branch point the null space of [J | F_u0] is a plane holding
+    the parent's direction t (the event's bracket secant) and k = (kernel,
+    0).  Its unit direction orthogonal to the parent is q = (k - c t) /
+    sqrt(1 - c^2), c = k . t, and one correction along q from the event
+    moved by direction * SWITCH_EPS along q lands on the emanating branch:
+    the parent meets that hyperplane only well away from the event (Doedel,
+    Keller and Kernevez, Int. J. Bifurcation and Chaos 1(3), 1991; Allgower
+    and Georg, ch. 8).
 
     Raises:
         ValueError: called on a fold (no distinct branch emanates there).
-        NoBranchFound: every attempt fell back onto the parent branch.
+        NoBranchFound: the event carries no kernel, or the correction fails.
     """
     if event.kind == EventKind.SADDLE_NODE:
         raise ValueError("cannot switch branches at a saddle-node (fold) event")
@@ -553,40 +557,19 @@ def switch_branch(
     if event.kernel is None:
         raise NoBranchFound("event carries no kernel direction")
 
-    def off_parent(x_new, u0_new):
-        try:
-            parent = newton_equilibrium(spec, event.x, u0_new)
-        except (NewtonDiverged, SingularJacobian):
-            return True
-        return np.linalg.norm(x_new - parent) > 1e-3 * (1.0 + np.linalg.norm(parent))
-
-    def finish(x_new, u0_new):
-        # Keep the outward secant as the seed tangent: refining it through
-        # the bordered solve this close to the singular point can snap onto
-        # the parent branch's tangent instead.  It is nonzero: the solve keeps
-        # a SWITCH_EPS kernel part, the fallback moves u0 by SWITCH_DU0.
-        outward = np.concatenate([x_new - event.x, [u0_new - event.u0]])
-        return branch_point_at(spec, x_new, u0_new, outward / np.linalg.norm(outward))
-
-    offset = direction * SWITCH_EPS * event.kernel
-    solved = _bordered_correct(spec, np.append(event.x + offset, event.u0),
-                               np.append(event.kernel, 0.0))
-    if solved is not None:
-        x_new, u0_new = solved[0][:-1], solved[0][-1]
-        if off_parent(x_new, u0_new):
-            return finish(x_new, u0_new)
-
-    for signed_du0 in (SWITCH_DU0, -SWITCH_DU0):
-        u0_try = event.u0 + signed_du0
-        try:
-            candidate = newton_equilibrium(spec, event.x + offset, u0_try)
-        except (NewtonDiverged, SingularJacobian):
-            continue
-        if off_parent(candidate, u0_try):
-            return finish(candidate, u0_try)
-    raise NoBranchFound(
-        f"no branch distinct from the parent found at u0={event.u0:.6g}"
-    )
+    k = np.append(event.kernel, 0.0)
+    c = k @ event.tangent
+    q = (k - c * event.tangent) / math.sqrt(1.0 - c * c)
+    solved = _bordered_correct(spec, np.append(event.x, event.u0) + direction * SWITCH_EPS * q, q)
+    if solved is None:
+        raise NoBranchFound(f"switch correction failed at u0={event.u0:.6g}")
+    x_new, u0_new = solved[0][:-1], solved[0][-1]
+    # Keep the outward secant as the seed tangent: refining it through the
+    # bordered solve this close to the singular point can snap onto the
+    # parent branch's tangent instead.  It is nonzero: the correction keeps
+    # a SWITCH_EPS part along q.
+    outward = np.concatenate([x_new - event.x, [u0_new - event.u0]])
+    return branch_point_at(spec, x_new, u0_new, outward / np.linalg.norm(outward))
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +717,8 @@ def _reflect(branch: Branch, seed: BranchPoint, d: np.ndarray) -> Branch:
     dt = np.append(d, 1.0)
     points = [seed] + [replace(p, x=d * p.x, tangent=dt * p.tangent) for p in branch.points[1:]]
     events = [
-        replace(e, x=d * e.x, kernel=None if e.kernel is None else _fix_sign(d * e.kernel))
+        replace(e, x=d * e.x, kernel=None if e.kernel is None else _fix_sign(d * e.kernel),
+                tangent=dt * e.tangent)
         for e in branch.events
     ]
     return Branch(points=points, events=events)

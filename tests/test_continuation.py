@@ -12,12 +12,14 @@ from modnod import (
     Classification,
     DiagramOptions,
     EventKind,
+    ModnodError,
     NetworkSpec,
     NewtonDiverged,
     NonConvergence,
     SingularJacobian,
     StallError,
     StepParams,
+    ValidationError,
     branch_point_at,
     build_influencer_ring,
     build_two_node,
@@ -35,6 +37,8 @@ from modnod.cli import main
 from modnod.config import spec_from_json
 from modnod.model import Saturation, linearize
 from modnod.scenarios import build_scenario, drive_steer_label
+
+from corpus import corpus_model
 
 
 def neutral_branch(spec, u0_range, **step_kw):
@@ -222,25 +226,67 @@ def test_switch_and_tangency_at_ring_pitchfork():
         assert np.arccos(np.clip(cosang, -1, 1)) < 0.05
 
 
-def test_switch_falls_back_to_shifted_u0_off_the_neutral_branch():
-    # the event sits on branch "0-", away from the origin; pinning the kernel
-    # amplitude lands back on that branch (3e-12 and 7e-12 from it), so both
-    # switches come from the plain Newton solve at u0 +- SWITCH_DU0
-    spec = NetworkSpec(
-        A=np.array([[-1.8432753403983204, 0.0], [1.6334749234972028, 0.8868364984398546]]),
-        M=((1, 1, 2, -0.024591222255004562),), order=4,
-        saturation=Saturation.shifted(-1.8148498734377356), tau=2.760555732192475,
-    )
-    branches = diagram(spec, (0.02, 8.0))
-    assert {"--", "+-"} <= {b.label for b in branches}
-    (ev,) = [e for b in branches if b.label == "0-" for e in b.events
+@pytest.mark.parametrize("spec,u0_range,parent,u0_event,arms", [
+    # the event sits on branch "0-", away from the origin
+    (NetworkSpec(A=np.array([[-1.8432753403983204, 0.0],
+                             [1.6334749234972028, 0.8868364984398546]]),
+                 M=((1, 1, 2, -0.024591222255004562),), order=4,
+                 saturation=Saturation.shifted(-1.8148498734377356), tau=2.760555732192475),
+     (0.02, 8.0), "0-", 0.429735, {"--", "+-"}),
+    # tests/corpus.py, default_rng(5) draw 147
+    (NetworkSpec(A=np.array([[1.2221476727906375, -0.9852613860661628, -0.23082248638902564],
+                             [0.0, 1.1576136508752515, 0.0], [-1.3866899287211698, 0.0, 0.0]]),
+                 M=((2, 1, 3, -1.4269028121601792), (1, 1, 2, 1.1463492106173898)), order=2,
+                 saturation=Saturation.shifted(-0.8936932872516783)),
+     (0.02, 2.0), "+0-", 0.863846, {"++-", "+--"}),
+], ids=["off-origin", "corpus-5-147"])
+def test_switch_leaves_the_parent_where_the_kernel_leans_on_its_tangent(
+        spec, u0_range, parent, u0_event, arms):
+    # the kernel has a large part along the parent's direction here (k . t
+    # is -0.96 and -0.91), where a correction along the kernel alone lands
+    # back on the parent
+    branches = diagram(spec, u0_range)
+    assert arms <= {b.label for b in branches}
+    (ev,) = [e for b in branches if b.label == parent for e in b.events
              if e.kind == EventKind.UNCLASSIFIED]
-    assert abs(ev.u0 - 0.429735) < 1e-6
+    assert abs(ev.u0 - u0_event) < 1e-6
     for direction in (1, -1):
         pt = switch_branch(spec, ev, direction)
-        assert abs(abs(pt.u0 - ev.u0) - continuation.SWITCH_DU0) < 1e-15
         assert np.linalg.norm(vector_field(spec, pt.x, pt.u0)) < 1e-10
         assert np.linalg.norm(pt.x - newton_equilibrium(spec, ev.x, pt.u0)) > 1e-2
+
+
+def test_corpus_switches_solve_and_leave_the_parent(monkeypatch):
+    # over the corpus's default_rng(5) draws, every diagram returns or raises
+    # a ModnodError, and every switched seed solves F = 0 off the parent
+    switches = []
+    switch = continuation.switch_branch
+
+    def recording(spec, event, direction):
+        point = switch(spec, event, direction)
+        switches.append((spec, event, point))
+        return point
+
+    monkeypatch.setattr(continuation, "switch_branch", recording)
+    rng = np.random.default_rng(5)
+    options = DiagramOptions(step=StepParams(max_points=400))
+    for _ in range(150):
+        try:
+            spec = spec_from_json(corpus_model(rng))
+        except ValidationError:
+            continue
+        try:
+            diagram(spec, (0.02, 2.0), options)
+        except ModnodError:
+            pass
+    assert len(switches) > 100
+    for spec, event, pt in switches:
+        assert np.linalg.norm(vector_field(spec, pt.x, pt.u0)) < continuation.NEWTON_TOL
+        try:
+            parent = newton_equilibrium(spec, event.x, pt.u0)
+        except (NewtonDiverged, SingularJacobian):
+            continue  # no parent solution at this u0 to land back on
+        assert np.linalg.norm(pt.x - parent) > 1e-3 * (1.0 + np.linalg.norm(parent))
 
 
 def test_switch_fold_is_a_caller_error():
@@ -444,9 +490,11 @@ def test_non_finite_jacobian_at_a_branch_point_is_a_typed_error(monkeypatch, tmp
 
 def test_scenario_diagram_counts_are_pinned(monkeypatch):
     # the work of one diagram, by wrapper: linearisations, bordered
-    # corrections and solves, eigen-solves, and exactly one eigen-solve per
-    # traced point (the rest refine events)
-    counts = dict.fromkeys(("linearize", "_bordered_correct", "_bordered_solve", "_eigvals"), 0)
+    # corrections and solves, eigen-solves, the one damped Newton solve of
+    # the primary seed, and exactly one eigen-solve per traced point (the
+    # rest refine events)
+    counts = dict.fromkeys(("linearize", "_bordered_correct", "_bordered_solve", "_eigvals",
+                            "newton_equilibrium"), 0)
     per_point = []
 
     def counting(name):
@@ -469,8 +517,8 @@ def test_scenario_diagram_counts_are_pinned(monkeypatch):
 
     monkeypatch.setattr(continuation, "_branch_point", recording)
     diagram(build_scenario("drive_steer", m_bar=2.0), (0.05, 11.0))
-    assert counts == {"linearize": 2076, "_bordered_correct": 814, "_bordered_solve": 1893,
-                      "_eigvals": 805}
+    assert counts == {"linearize": 2054, "_bordered_correct": 814, "_bordered_solve": 1893,
+                      "_eigvals": 805, "newton_equilibrium": 1}
     assert per_point == [1] * 680
 
 

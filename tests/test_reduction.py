@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from modnod import (
     Classification,
@@ -138,6 +138,9 @@ def reducible_specs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(reducible_specs())
+# eig's balancing once gave this A a leading eigenvector of residual 0.54
+@example(NetworkSpec(A=np.array([[0, 0, 0, 1], [0, 0, 0, 1], [1, 0, 0, 0],
+                                 [1, 1, 2.32348003e-250, 0]], dtype=float)))
 def test_closed_form_matches_extrapolated_differences_of_reduced_map(spec):
     try:
         eig = max_entry_normalized(leading_eigenpair(spec))

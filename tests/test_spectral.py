@@ -60,6 +60,22 @@ def test_leading_eigenpair_two_node():
     np.testing.assert_allclose(eig.v_max, np.array([1.0, -1.0]) / np.sqrt(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("a", [1e-40, 1e-33, 2.32348003e-250])
+def test_leading_eigenvector_is_accurate_where_balancing_misleads_eig(a):
+    # np.linalg.eig balances this A and returns an eigenvector of residual
+    # 0.54 for its leading lambda = sqrt(2); at a = 0 it is accurate
+    def tiny(a):
+        return np.array([[0, 0, 0, 1], [0, 0, 0, 1], [1, 0, 0, 0], [1, 1, a, 0]], dtype=float)
+
+    A = tiny(a)
+    eig = leading_eigenpair(NetworkSpec(A=A))
+    v, w, lam = eig.v_max, eig.w_max, eig.lambda_max
+    assert abs(lam - np.sqrt(2)) < 1e-15
+    assert np.linalg.norm(A @ v - lam * v) < 1e-15
+    assert np.linalg.norm(w @ A - lam * w) < 1e-15 * np.linalg.norm(w)
+    np.testing.assert_allclose(v, leading_eigenpair(NetworkSpec(A=tiny(0.0))).v_max, atol=1e-15)
+
+
 def test_eigen_invariants_random_matrices():
     rng = np.random.default_rng(21)
     checked = 0
