@@ -32,8 +32,12 @@ from .model import NetworkSpec, _field_at, as_state
 
 __all__ = ["Trajectory", "integrate", "settle"]
 
-#: state norm beyond which integration aborts; solutions of the saturated
-#: model are bounded, so reaching this signals bad input
+#: integration aborts when ||x|| exceeds this many times sqrt(N) * B.  As
+#: |S| <= S.bound(), the exact flow keeps ||x(t)||_inf <= B = max(||x0||_inf,
+#: ||b||_inf + S.bound()).  Stable steps stay within a modest multiple of
+#: that, and an unstable one multiplies x by |R(h lambda)| > 1 every step, so
+#: 1e6 refuses no stable run and stops an unstable one far below overflow.
+#: B >= 1, so the limit never falls below the absolute 1e6 it replaced.
 DIVERGENCE_NORM = 1e6
 #: most samples ``integrate`` takes (t_end / dt).  A sample costs 48 + 8 N
 #: bytes while integrating (its entries in the time and step lists and its
@@ -66,6 +70,12 @@ _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 #: settle gives up once rejections shrink the step below this many tau;
 #: only a field that turns non-finite ahead of the state shrinks it this far
 _H_MIN = 1e-12
+
+
+def _divergence_limit(spec: NetworkSpec, x0: np.ndarray) -> float:
+    """DIVERGENCE_NORM * sqrt(N) * B for a run from ``x0``."""
+    box = max(np.abs(x0).max(), np.abs(spec.b).max() + spec.saturation.bound())
+    return DIVERGENCE_NORM * math.sqrt(spec.N) * float(box)
 
 
 @dataclass
@@ -103,8 +113,8 @@ def integrate(
         ValueError: dt is not positive and finite, t_end is not positive,
             or t_end / dt exceeds MAX_SAMPLES.
         NonFinite: a NaN/Inf state appeared (including in x0).
-        Diverged: the state norm exceeded DIVERGENCE_NORM; the partial
-            trajectory is attached to the exception.
+        Diverged: the state norm exceeded ``_divergence_limit``; the
+            partial trajectory is attached to the exception.
     """
     if dt is None:
         dt = 0.01 * spec.tau
@@ -127,7 +137,7 @@ def integrate(
         times.append(t_end)
     states = np.empty((len(times), spec.N))
     states[0] = x
-    f = _field_at(spec, u0)
+    f, limit = _field_at(spec, u0), _divergence_limit(spec, x)
     for k, h in enumerate(steps, start=1):
         half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k is (0.5 * h) * k: the same bits
         k1 = f(x)
@@ -137,12 +147,12 @@ def integrate(
         x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[k] = x
         # one test per step: the norm is NaN or inf for a non-finite state
-        if not math.sqrt(x.dot(x)) <= DIVERGENCE_NORM:
+        if not math.sqrt(x.dot(x)) <= limit:
             if not np.all(np.isfinite(x)):
                 raise NonFinite(f"non-finite state at t={times[k]:.6g}")
             partial = Trajectory(np.array(times[: k + 1]), states[: k + 1].copy(), u0, "diverged")
             raise Diverged(
-                f"state norm exceeded {DIVERGENCE_NORM:.0e} at t={times[k]:.6g}", partial
+                f"state norm exceeded {limit:.3g} at t={times[k]:.6g}", partial
             )
     return Trajectory(np.array(times), states, u0)
 
@@ -186,7 +196,7 @@ def settle(
             slow; the last state and its residual are attached.
         NonFinite: f is non-finite at x0, or every trial step runs into a
             non-finite field until the step falls below 1e-12 * tau.
-        Diverged: the state norm exceeded DIVERGENCE_NORM.
+        Diverged: the state norm exceeded ``_divergence_limit``.
     """
     eps = 0.1 * tol * spec.tau
     if not eps > 0:  # also catches a tol * tau that underflows to 0
@@ -200,7 +210,7 @@ def settle(
     if not (0 < dt < math.inf and 0 < t_max < math.inf):
         raise ValueError(f"dt and t_max must be positive and finite; got dt={dt}, t_max={t_max}")
     x = as_state(x0, spec.N)
-    h_min = _H_MIN * spec.tau
+    h_min, limit = _H_MIN * spec.tau, _divergence_limit(spec, x)
     n, f = spec.N, _field_at(spec, u0)
     stages = np.empty((7, n))
     heads = [stages[:i] for i in range(7)]  # views: stage i + 1 weights heads[i]
@@ -235,8 +245,8 @@ def settle(
             continue
         t += h
         x = x_new
-        if math.sqrt(x.dot(x)) > DIVERGENCE_NORM:
-            raise Diverged(f"state norm exceeded {DIVERGENCE_NORM:.0e} at t={t:.6g}")
+        if math.sqrt(x.dot(x)) > limit:
+            raise Diverged(f"state norm exceeded {limit:.3g} at t={t:.6g}")
         residual = math.sqrt(stages[6].dot(stages[6]))
         h *= min(_FAC_MAX, _SAFETY * err ** -0.2) if err > 0 else _FAC_MAX
     return x

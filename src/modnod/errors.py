@@ -56,8 +56,8 @@ class NewtonDiverged(ModnodError):
 
 
 class SingularJacobian(ModnodError):
-    """The Newton linear solve failed; typically signals proximity to a
-    bifurcation (use the bordered formulation instead)."""
+    """The bordered Newton system was singular or gave a non-finite step;
+    at fixed u0 that is a singular J, typically at a bifurcation."""
 
 
 class StallError(ModnodError):

@@ -16,6 +16,9 @@ which ``ls_derivatives`` takes in closed form, via the standard recognition
 conditions: a nonzero second v-derivative marks a transcritical crossing, a
 vanishing second with nonzero third derivative a pitchfork, supercritical
 exactly when the cubic and the eigenvalue-crossing speed have opposite signs.
+``ls_reduced_g`` evaluates g itself, solving F = c * v_c, <v_c, y> = 0 (the
+same equations) in (y, c) with continuation's one Newton loop,
+``_bordered_correct``: the reference ``ls_derivatives`` is tested against.
 
 Derivative values depend on the kernel normalization; reports record the
 kernel vector used.  Pass a max-entry-normalized triple (all-ones kernel
@@ -31,8 +34,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ComplementDiverged, DegenerateLeader, OutOfDomain
-from .continuation import NEWTON_TOL, _bordered_solve
+from .errors import (ComplementDiverged, DegenerateLeader, NewtonDiverged, OutOfDomain,
+                     SingularJacobian)
+from .continuation import _bordered_correct, _bordered_solve
 from .model import NetworkSpec, inner_argument, linearize, vector_field
 from .spectral import EigenTriple
 
@@ -75,41 +79,29 @@ def ls_reduced_g(spec: NetworkSpec, eig: EigenTriple, v: float, u0: float,
     """Evaluate the reduced scalar map g(v, u0).
 
     Valid in a neighborhood of the singularity: |v| <= 0.3 and
-    |u0 - u0*| <= 0.3 * u0* (OutOfDomain otherwise).  The complement
-    component is found by a bordered Newton iteration (ComplementDiverged
-    on failure).
+    |u0 - u0*| <= 0.3 * u0* (OutOfDomain otherwise).  (y, c) is solved in at
+    most ``max_iter`` Newton iterations (ComplementDiverged on failure).
     """
     u0_star = eig.u0_star
     if abs(v) > 0.3 or abs(u0 - u0_star) > 0.3 * abs(u0_star):
-        raise OutOfDomain(
-            f"(v={v:.4g}, u0={u0:.4g}) outside the reduction neighborhood "
-            f"of (0, {u0_star:.4g})"
-        )
-
+        raise OutOfDomain(f"(v={v:.4g}, u0={u0:.4g}) outside the reduction neighborhood "
+                          f"of (0, {u0_star:.4g})")
     n = spec.N
     v_c, w_c = eig.v_max, eig.w_max
-    v_unit = v_c / np.linalg.norm(v_c)
-    row = np.append(v_unit, 0.0)
-
     x0 = v * v_c
-    y = np.zeros(n)
     c = float(w_c @ (spec.tau * vector_field(spec, x0, u0))) / float(w_c @ v_c)
-    for _ in range(max_iter):
-        f, jac, _ = linearize(spec, x0 + y, u0)
-        f = spec.tau * f
-        res = np.concatenate([f - c * v_c, [v_unit @ y]])
-        if np.linalg.norm(res) < NEWTON_TOL:
-            return float(w_c @ f)
-        delta = _bordered_solve(spec.tau * jac, -v_c, row, -res)
-        if delta is None:
-            raise ComplementDiverged(
-                f"bordered solve singular or non-finite at (v={v:.4g}, u0={u0:.4g})"
-            )
-        y = y + delta[:n]
-        c = c + delta[n]
-    raise ComplementDiverged(
-        f"complement solve did not converge at (v={v:.4g}, u0={u0:.4g})"
-    )
+
+    def lin(z):  # (y, c) -> (tau F - c v_c, tau J, -v_c)
+        f, jac, _ = linearize(spec, x0 + z[:n], u0)
+        return spec.tau * f - z[n] * v_c, spec.tau * jac, -v_c
+
+    try:
+        y = _bordered_correct(lin, np.append(np.zeros(n), c),
+                              np.append(v_c / np.linalg.norm(v_c), 0.0), max_iter)[0][:n]
+    except (NewtonDiverged, SingularJacobian) as exc:
+        raise ComplementDiverged(f"complement solve failed at (v={v:.4g}, u0={u0:.4g}): "
+                                 f"{exc}") from exc
+    return float(w_c @ (spec.tau * vector_field(spec, x0 + y, u0)))
 
 
 def ls_derivatives(spec: NetworkSpec, eig: EigenTriple) -> LSReport:

@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 import subprocess
 import sys
 from xml.etree import ElementTree
@@ -337,20 +339,25 @@ def test_cli_import_does_not_load_scipy():
     # the runtime needs numpy only; scipy would double the CLI's cold start,
     # and numpy.ma (pulled in by np.unique and np.setdiff1d) adds about 1 MB
     # of resident memory.  The child also builds a spec with two triplets on
-    # one edge and evaluates it.  It inherits this environment (PYTHONPATH
-    # included) and must import the same modnod as this process.
+    # one edge and evaluates it, and draws a small diagram (whose mirror-block
+    # search deduplicates rows, which np.unique would do through numpy.ma).
+    # It is given the directory this process imports modnod from, and must
+    # import the same.
     import modnod
 
     code = ("import sys, modnod.cli; print(modnod.__file__)\n"
+            "from modnod import build_two_node, diagram\n"
             "from modnod.model import NetworkSpec, linearize, vector_field\n"
             "spec = NetworkSpec(A=[[0.0, -1.0], [-1.0, 0.0]], order=2,\n"
             "                   M=((2, 1, 1, 1.0), (2, 1, 2, -0.5)))\n"
             "vector_field(spec, [0.3, -0.2], 0.8)\n"
             "linearize(spec, [0.3, -0.2], 0.8)\n"
+            "diagram(build_two_node(1.0, 1), (0.0, 1.5))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
             "             or m.split('.')[:2] == ['numpy', 'ma']))")
+    env = {**os.environ, "PYTHONPATH": str(Path(modnod.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60)
+                          env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == [modnod.__file__, "[]"]
 

@@ -98,6 +98,24 @@ def test_newton_singular_jacobian():
         newton_equilibrium(spec, np.zeros(2), 0.5)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.floats(0.02, 2.0))
+def test_newton_returns_an_equilibrium_or_a_typed_failure(seed, u0):
+    # a corpus spec and a standard-normal guess: either a finite state whose
+    # residual is below NEWTON_TOL, or NewtonDiverged or SingularJacobian
+    rng = np.random.default_rng(seed)
+    try:
+        spec = spec_from_json(corpus_model(rng))
+    except ValidationError:
+        assume(False)
+    try:
+        x = newton_equilibrium(spec, rng.standard_normal(spec.N), u0)
+    except (NewtonDiverged, SingularJacobian):
+        return
+    assert np.isfinite(x).all()
+    assert np.linalg.norm(vector_field(spec, x, u0)) < continuation.NEWTON_TOL
+
+
 # -- tracing and events ------------------------------------------------------
 
 def test_branch_points_satisfy_invariants():
@@ -368,9 +386,9 @@ def test_trace_stalls_when_correction_never_converges(monkeypatch):
     seed = branch_point_at(spec, np.zeros(2), 0.2)
     steps = []
 
-    def failing(spec, z0, direction):
+    def failing(lin, z0, row, budget):
         steps.append(np.linalg.norm(z0 - np.append(seed.x, seed.u0)))
-        return None
+        raise NewtonDiverged("no convergence")
 
     monkeypatch.setattr(continuation, "_bordered_correct", failing)
     with pytest.raises(StallError):
@@ -490,9 +508,9 @@ def test_non_finite_jacobian_at_a_branch_point_is_a_typed_error(monkeypatch, tmp
 
 def test_scenario_diagram_counts_are_pinned(monkeypatch):
     # the work of one diagram, by wrapper: linearisations, bordered
-    # corrections and solves, eigen-solves, the one damped Newton solve of
-    # the primary seed, and exactly one eigen-solve per traced point (the
-    # rest refine events)
+    # corrections (the primary seed's damped Newton solve is one of them)
+    # and solves, eigen-solves, and exactly one eigen-solve per traced point
+    # (the rest refine events); a switched seed reuses its correction's J
     counts = dict.fromkeys(("linearize", "_bordered_correct", "_bordered_solve", "_eigvals",
                             "newton_equilibrium"), 0)
     per_point = []
@@ -517,7 +535,7 @@ def test_scenario_diagram_counts_are_pinned(monkeypatch):
 
     monkeypatch.setattr(continuation, "_branch_point", recording)
     diagram(build_scenario("drive_steer", m_bar=2.0), (0.05, 11.0))
-    assert counts == {"linearize": 2054, "_bordered_correct": 814, "_bordered_solve": 1893,
+    assert counts == {"linearize": 2042, "_bordered_correct": 815, "_bordered_solve": 1893,
                       "_eigvals": 805, "newton_equilibrium": 1}
     assert per_point == [1] * 680
 

@@ -125,6 +125,17 @@ def test_unstable_stepsize_diverges():
     assert full.states.shape == (len(full.times), spec.N) == (12, 2)
 
 
+def test_large_initial_state_is_not_divergence():
+    # the flow keeps ||x||_inf within max(||x0||_inf, ||b||_inf + S.bound()),
+    # so a start of norm 2e6 decays like any other: no Diverged
+    spec = build_two_node(1.0, 1)
+    x = settle(spec, np.array([2e6, 0.0]), 0.5)
+    assert np.linalg.norm(vector_field(spec, x, 0.5)) < 1e-9
+    traj = integrate(spec, np.array([2e6, 0.0]), 0.5, 1.0)
+    assert traj.terminated_early is None and len(traj.times) == 101
+    assert np.abs(traj.states).max() <= 2e6
+
+
 @pytest.mark.parametrize("tol, tau", [(0.0, 1.0), (-1e-9, 1.0), (float("nan"), 1.0),
                                       (1e-323, 1.0), (1e-30, 1e-300)])
 def test_settle_rejects_tolerance_without_a_positive_error_scale(tol, tau):
