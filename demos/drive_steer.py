@@ -16,7 +16,7 @@ Run:  python demos/drive_steer.py        (writes SVGs next to itself)
 
 from pathlib import Path
 
-from modnod import DiagramOptions, StepParams, build_drive_steer, diagram
+from modnod import StepParams, build_drive_steer, diagram
 from modnod.output import branches_to_svg
 from modnod.scenarios import drive_steer_label
 
@@ -27,9 +27,7 @@ ALPHA, BETA = 1.0, 0.3
 
 for m_bar, hi in ((0.0, 4.0), (2.0, 11.0)):
     spec = build_drive_steer(ALPHA, BETA, m_bar)
-    opts = DiagramOptions(labeler=drive_steer_label,
-                          step=StepParams(max_points=4000))
-    branches = diagram(spec, (0.05, hi), opts)
+    branches = diagram(spec, (0.05, hi), StepParams(max_points=4000), drive_steer_label)
     by_label = {b.label: b for b in branches}
 
     print(f"== modulation m_bar = {m_bar} ==")

@@ -46,7 +46,6 @@ from .continuation import (
     Branch,
     BranchPoint,
     BifurcationEvent,
-    DiagramOptions,
     EventKind,
     StepParams,
     branch_point_at,

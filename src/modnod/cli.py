@@ -17,7 +17,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -128,15 +127,6 @@ def _step_params(doc) -> continuation.StepParams:
     })
 
 
-def _diagram_options(cfg: RunConfig) -> continuation.DiagramOptions:
-    options = continuation.DiagramOptions(
-        step=_param(cfg, "step", _step_params, continuation.StepParams()),
-        labeler=SCENARIOS[cfg.scenario]["labeler"] if cfg.scenario else None,
-    )
-    # a float, like max_points, so that a fractional depth is rejected
-    return _param(cfg, "depth", lambda depth: replace(options, max_depth=float(depth)), options)
-
-
 def _projection(cfg: RunConfig):
     """Ordinate for the diagram plot: <x, v_max> by default, or one
     component via params.projection = "x_i"."""
@@ -161,7 +151,8 @@ def cmd_diagram(cfg: RunConfig, args) -> tuple:
     if "u0_range" not in cfg.params:
         raise ValidationError("params.u0_range: required, as [lo, hi]")
     branches = continuation.diagram(cfg.spec, _param(cfg, "u0_range", _u0_range, None),
-                                    _diagram_options(cfg))
+                                    _param(cfg, "step", _step_params, None),
+                                    SCENARIOS[cfg.scenario]["labeler"] if cfg.scenario else None)
     files = {"diagram.csv": branches_to_csv(branches, cfg.spec.N)}
     if not args.no_svg:
         proj, ylabel = _projection(cfg)
@@ -221,7 +212,7 @@ def cmd_scenario(args) -> int:
 
 
 #: every params key some command reads; one config can serve all commands
-_PARAM_KEYS = {"u0", "x0", "x0_scale", "t_end", "dt", "u0_range", "step", "depth", "projection"}
+_PARAM_KEYS = {"u0", "x0", "x0_scale", "t_end", "dt", "u0_range", "step", "projection"}
 
 #: command name -> function(cfg, args) returning (files, summary): files
 #: maps an output file name to its text, or to a document written as JSON

@@ -21,16 +21,14 @@ of tracing and switching (steps along the tangent, the landings, the event
 bisection and the switch solve) runs it on ``linearize`` at z = (x, u0) with
 the budget CORRECTOR_ITERS, and every tracing correction that converges
 becomes a point.  ``newton_equilibrium`` runs it on the same map along e_u0,
-which keeps u0 exact, with its own ``max_iter``: a guess far from any branch
-takes more damped steps than a predictor near one (from standard-normal
-guesses on random specs, up to 16, and more than 8 in 24 of 450 solves).
-``reduction.ls_reduced_g`` runs it on its complement system.  ``_land``
-corrects from a chord onto the hyperplane it crosses: the u0 boundary, which
-ends a branch, or the seed's t_s . (z - z_s) = 0.  A regular equilibrium
-curve returns to its own trail only through its seed, so a loop closes when
-a step takes t_s . (z - z_s) from negative to non-negative and the landing
-is the seed (within CLOSURE_TOL); ``diagram`` skips a switched seed that an
-earlier branch passes through by the same test.  Each iterate takes one
+which keeps u0 exact, with the budget EQUILIBRIUM_ITERS, and
+``reduction.ls_reduced_g`` on its complement system with COMPLEMENT_ITERS.
+``_land`` corrects from a chord onto the hyperplane it crosses: the u0
+boundary, which ends a branch, or the seed's t_s . (z - z_s) = 0.  A regular
+equilibrium curve returns to its own trail only through its seed, so a loop
+closes when a step takes t_s . (z - z_s) from negative to non-negative and
+the landing is the seed (within CLOSURE_TOL); ``diagram`` skips a switched
+seed that an earlier branch passes through by the same test.  Each iterate takes one
 ``model.linearize`` (F, J and F_u0 from one build of the gains), and the
 kernel hands the converged point's J and F_u0 on: the tangent solve and a
 switched seed reuse them, and one ``eigvals`` of that J gives both the
@@ -40,8 +38,9 @@ detection reads instead of re-evaluating.  A real eigenvalue is one with
 every dense solve and eigen-solve through ``spectral._solve`` and
 ``spectral._eigvals``: numpy's bits without the wrappers' per-call checks,
 None for a singular matrix and NonConvergence for a non-finite one.
-Step-control factors, tolerances and the branch-switch offset are module
-constants, not ``StepParams`` fields or keyword arguments.
+Step-control factors, tolerances, Newton budgets, the branch-switch offset
+and the switch depth are module constants, not ``StepParams`` fields or
+keyword arguments.
 
 Mirror branches are reflected, not traced.  A flippable block is a connected
 component of the graph of A (a_ij != 0, i != j) on which b is zero and, for
@@ -87,7 +86,6 @@ __all__ = [
     "trace_branch",
     "detect_events",
     "switch_branch",
-    "DiagramOptions",
     "diagram",
 ]
 
@@ -106,6 +104,12 @@ STEP_GROW = 1.3
 STEP_SHRINK = 0.5
 FAST_ITERS = 3
 CORRECTOR_ITERS = 8
+#: Newton budget of a fixed-u0 solve: a guess far from any branch takes more
+#: damped steps than a predictor near one (from standard-normal guesses on
+#: random specs, up to 16, and more than 8 in 24 of 450 solves)
+EQUILIBRIUM_ITERS = 50
+#: Newton budget of ``reduction.ls_reduced_g``'s complement solve in (y, c)
+COMPLEMENT_ITERS = 30
 #: branch-switch seed offset from the event, across the parent branch
 SWITCH_EPS = 1e-2
 #: a landing on a seed's hyperplane this close to the seed is the seed.  Both
@@ -115,6 +119,14 @@ SWITCH_EPS = 1e-2
 #: seeds landed on), so <= 5.5e-9 (measured <= 1.0e-10).  The other branch
 #: through the event lies about SWITCH_EPS away (measured >= 1.2e-2).
 CLOSURE_TOL = 1e-6
+#: ``diagram`` switches off the primary branch and off the branches switched
+#: from it, not off the branches switched from those.  Measured on the seven
+#: scenarios and the 868 random specs with a diagram among 900 draws
+#: (``tests/corpus.py``, seeds 1-6): depth 1 drops branches from the
+#: drive/steer diagrams (9 -> 5 and 10 -> 5), and depth 3 traces a branch
+#: twice (seed 4 draw 23: ``-+/2`` is ``-+`` again), because a trace that runs
+#: onto an earlier branch does not stop there.
+SWITCH_DEPTH = 2
 
 
 class EventKind(str, Enum):
@@ -157,9 +169,8 @@ class BranchPoint:
     stable: bool
     tangent: np.ndarray  # unit (N+1)-vector in (x, u0) space
     #: event test function: the sign of det J (+1, -1, or 0 on a zero
-    #: eigenvalue); None when not evaluated (a point built by hand), in
-    #: which case detect_events evaluates it
-    det_sign: float | None = None
+    #: eigenvalue)
+    det_sign: float
 
 
 @dataclass
@@ -241,10 +252,10 @@ def _on_branch(spec: NetworkSpec):
     return lambda z: linearize(spec, z[:-1], z[-1])
 
 
-def newton_equilibrium(spec: NetworkSpec, x_guess, u0: float, max_iter: int = 50) -> np.ndarray:
+def newton_equilibrium(spec: NetworkSpec, x_guess, u0: float) -> np.ndarray:
     """Damped Newton solve of ``vector_field(spec, x, u0) = 0`` at fixed u0:
     ``_bordered_correct`` along e_u0, which keeps u0 exact (that border row
-    takes zero LU multipliers), in at most ``max_iter`` iterations.
+    takes zero LU multipliers), in at most EQUILIBRIUM_ITERS iterations.
 
     Raises:
         NewtonDiverged: iteration budget exhausted or damping underflowed.
@@ -252,7 +263,7 @@ def newton_equilibrium(spec: NetworkSpec, x_guess, u0: float, max_iter: int = 50
     """
     n = spec.N
     z0 = np.append(as_state(x_guess, n), u0)
-    return _bordered_correct(_on_branch(spec), z0, np.eye(n + 1)[n], max_iter)[0][:n]
+    return _bordered_correct(_on_branch(spec), z0, np.eye(n + 1)[n], EQUILIBRIUM_ITERS)[0][:n]
 
 
 def _tangent(jac: np.ndarray, f_u0: np.ndarray, prev: np.ndarray) -> np.ndarray:
@@ -288,21 +299,12 @@ def _branch_point(x: np.ndarray, u0: float, tangent: np.ndarray, jac: np.ndarray
                        tangent=tangent, det_sign=_det_sign(vals))
 
 
-def branch_point_at(
-    spec: NetworkSpec,
-    x,
-    u0: float,
-    tangent=None,
-) -> BranchPoint:
-    """Build a fully populated BranchPoint from a converged equilibrium."""
+def branch_point_at(spec: NetworkSpec, x, u0: float) -> BranchPoint:
+    """Build a fully populated BranchPoint from a converged equilibrium,
+    its tangent oriented towards increasing u0."""
     x = np.asarray(x, dtype=float).reshape(-1)
     _, jac, f_u0 = linearize(spec, x, u0)
-    if tangent is None:
-        tangent = _tangent(jac, f_u0, np.eye(spec.N + 1)[-1])
-    else:
-        tangent = np.asarray(tangent, dtype=float)
-        tangent = tangent / np.linalg.norm(tangent)
-    return _branch_point(x, u0, tangent, jac)
+    return _branch_point(x, u0, _tangent(jac, f_u0, np.eye(spec.N + 1)[-1]), jac)
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +472,12 @@ def detect_events(spec: NetworkSpec, points) -> list:
     the Lyapunov-Schmidt reduction, remaining ones stay Unclassified.
     """
     events = []
-    if len(points) < 2:
-        return events
-    signs = [
-        p.det_sign if p.det_sign is not None
-        else _det_sign(_eigvals(linearize(spec, p.x, p.u0)[1]).tolist())
-        for p in points
-    ]
-    for i in range(len(points) - 1):
-        if signs[i] * signs[i + 1] >= 0:
+    for pa, pb in zip(points, points[1:]):
+        if pa.det_sign * pb.det_sign >= 0:
             continue
-        pa, pb = points[i], points[i + 1]
         za = np.concatenate([pa.x, [pa.u0]])
         zb = np.concatenate([pb.x, [pb.u0]])
-        refined = _refine_event(spec, za, zb, signs[i])
+        refined = _refine_event(spec, za, zb, pa.det_sign)
         if refined is None:
             log.debug("no refined crossing on [%0.6g, %0.6g]", pa.u0, pb.u0)
             continue
@@ -572,20 +566,6 @@ def switch_branch(
 # Whole-diagram driver
 
 
-@dataclass(frozen=True)
-class DiagramOptions:
-    """Options for the recursive diagram driver."""
-
-    step: StepParams = field(default_factory=StepParams)
-    max_depth: int = 2
-    labeler: object = None  # callable(BranchPoint) -> str
-
-    def __post_init__(self):
-        if not (float(self.max_depth).is_integer() and self.max_depth >= 0):
-            raise ValueError(f"max_depth must be an integer >= 0, got {self.max_depth!r}")
-        object.__setattr__(self, "max_depth", int(self.max_depth))  # the dataclass is frozen
-
-
 def _sign_pattern(x: np.ndarray) -> str:
     return "".join(
         "0" if abs(v) <= LABEL_ZERO_TOL else ("+" if v > 0 else "-") for v in x
@@ -603,27 +583,31 @@ def _label_branch(branch: Branch, labeler) -> str:
 def diagram(
     spec: NetworkSpec,
     u0_range,
-    options: DiagramOptions | None = None,
+    step: StepParams | None = None,
+    labeler=None,
 ) -> list:
     """Trace the equilibrium branch through the neutral/primary state and
-    recurse through its bifurcations (to ``options.max_depth``), producing
-    the deterministic branch set behind a full bifurcation diagram.
+    recurse through its bifurcations (to SWITCH_DEPTH), producing the
+    deterministic branch set behind a full bifurcation diagram.  Branches are
+    labelled by ``labeler`` (a callable(BranchPoint) -> str) or by sign
+    pattern; see ``_label_branch``.
 
     Per-branch failures are logged and skipped rather than aborting the
     whole diagram.
     """
-    options = options or DiagramOptions()
+    step = step or StepParams()
     lo, hi = float(u0_range[0]), float(u0_range[1])
 
     x0 = newton_equilibrium(spec, np.zeros(spec.N), lo)
-    primary_seed = branch_point_at(spec, x0, lo, np.eye(spec.N + 1)[-1])
+    e_u0 = np.eye(spec.N + 1)[-1]
+    primary_seed = _branch_point(x0, lo, e_u0, linearize(spec, x0, lo)[1])
 
     branches: list[Branch] = []
     paths: list[np.ndarray] = []  # the (x, u0) rows of each branch's points
     labels_seen: dict[str, int] = {}
 
     def add(branch: Branch) -> None:
-        label = _label_branch(branch, options.labeler)
+        label = _label_branch(branch, labeler)
         count = labels_seen.get(label, 0)
         labels_seen[label] = count + 1
         branch.label = label if count == 0 else f"{label}/{count + 1}"
@@ -634,25 +618,25 @@ def diagram(
     traced: list[tuple] = []  # (seed, step, branch) of every traced branch
 
     def trace_from(seed: BranchPoint, depth: int) -> None:
-        step = options.step
+        seed_step = step
         if depth > 0:
             # switched seeds sit eps away from a singular point; creep away
             # from it before taking full-size steps
-            step = replace(step, initial=min(step.initial, 0.5 * SWITCH_EPS))
+            seed_step = replace(step, initial=min(step.initial, 0.5 * SWITCH_EPS))
         for seed0, step0, branch0 in traced:
-            d = _seed_flip(seed0, seed, blocks) if step0 == step else None
+            d = _seed_flip(seed0, seed, blocks) if step0 == seed_step else None
             if d is not None:
                 branch = _reflect(branch0, seed, d)
                 break
         else:
             try:
-                branch = trace_branch(spec, seed, (lo, hi), step)
+                branch = trace_branch(spec, seed, (lo, hi), seed_step)
             except StallError as exc:
                 log.warning("branch trace stalled: %s", exc)
                 return
-            traced.append((seed, step, branch))
+            traced.append((seed, seed_step, branch))
         add(branch)
-        if depth >= options.max_depth:
+        if depth >= SWITCH_DEPTH:
             return
         for event in branch.events:
             if event.kind == EventKind.SADDLE_NODE:

@@ -61,12 +61,12 @@ class SingularJacobian(ModnodError):
 
 
 class StallError(ModnodError):
-    """Pseudo-arclength stepping underflowed repeatedly."""
+    """A pseudo-arclength correction failed at the minimum step."""
 
 
 class NoBranchFound(ModnodError):
-    """Branch switching fell back onto the parent branch in every
-    attempted direction."""
+    """Branch switching found no emanating branch: the event carries no
+    kernel direction, or the switch correction failed."""
 
 
 # -- reduction --------------------------------------------------------------

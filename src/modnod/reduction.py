@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (ComplementDiverged, DegenerateLeader, NewtonDiverged, OutOfDomain,
                      SingularJacobian)
-from .continuation import _bordered_correct, _bordered_solve
+from .continuation import COMPLEMENT_ITERS, _bordered_correct, _bordered_solve
 from .model import NetworkSpec, inner_argument, linearize, vector_field
 from .spectral import EigenTriple
 
@@ -74,13 +74,12 @@ class LSReport:
     kernel: np.ndarray  # the v_c used, fixing the normalization
 
 
-def ls_reduced_g(spec: NetworkSpec, eig: EigenTriple, v: float, u0: float,
-                 max_iter: int = 30) -> float:
+def ls_reduced_g(spec: NetworkSpec, eig: EigenTriple, v: float, u0: float) -> float:
     """Evaluate the reduced scalar map g(v, u0).
 
     Valid in a neighborhood of the singularity: |v| <= 0.3 and
     |u0 - u0*| <= 0.3 * u0* (OutOfDomain otherwise).  (y, c) is solved in at
-    most ``max_iter`` Newton iterations (ComplementDiverged on failure).
+    most COMPLEMENT_ITERS Newton iterations (ComplementDiverged on failure).
     """
     u0_star = eig.u0_star
     if abs(v) > 0.3 or abs(u0 - u0_star) > 0.3 * abs(u0_star):
@@ -97,7 +96,7 @@ def ls_reduced_g(spec: NetworkSpec, eig: EigenTriple, v: float, u0: float,
 
     try:
         y = _bordered_correct(lin, np.append(np.zeros(n), c),
-                              np.append(v_c / np.linalg.norm(v_c), 0.0), max_iter)[0][:n]
+                              np.append(v_c / np.linalg.norm(v_c), 0.0), COMPLEMENT_ITERS)[0][:n]
     except (NewtonDiverged, SingularJacobian) as exc:
         raise ComplementDiverged(f"complement solve failed at (v={v:.4g}, u0={u0:.4g}): "
                                  f"{exc}") from exc

@@ -1,9 +1,9 @@
 """Leading eigenstructure of the additive matrix and the critical attention.
 
 The neutral state loses stability where ``-1 + u0 * S'(0) * lambda`` crosses
-zero for the leading eigenvalue of A, i.e. at ``u0* = 1 / (S'(0) *
-lambda_max)``.  Because the Jacobian at the origin does not see the
-modulation coefficients, everything here reads only A and S'(0).  Eigenpairs
+zero for the leading eigenvalue of A, i.e. at ``u0* = 1 / lambda_max``, since
+every saturation has S'(0) = 1.  Because the Jacobian at the origin does not
+see the modulation coefficients, everything here reads only A.  Eigenpairs
 come from ``np.linalg.eig``; the left eigenvector w of a simple real lambda is
 the left singular vector of ``A - lambda * I`` for its least singular value,
 and its right partner replaces eig's v when that fails its residual bound.
@@ -54,7 +54,7 @@ class EigenTriple:
         lambda_max: the eigenvalue.
         v_max: right eigenvector.
         w_max: left eigenvector (row sense: w @ A = lambda * w).
-        u0_star: critical attention 1 / (S'(0) * lambda).
+        u0_star: critical attention 1 / lambda.
         spectral_gap: lambda minus the largest real part of the remaining
             eigenvalues (positive for a strict leader).
     """
@@ -73,7 +73,7 @@ def full_spectrum(A) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
-    return _lapack(np.linalg.eigvals, A)
+    return _eigvals(A)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -146,12 +146,11 @@ def _triple(spec: NetworkSpec, vals, vr, idx: int) -> EigenTriple:
     if abs(pairing) < 1e-12:
         raise NoStrictLeader("left/right eigenvectors are numerically orthogonal")
     w = w / pairing + 0.0  # + 0.0 turns the SVD's signed zeros into 0.0
-    sat_deriv0 = float(spec.saturation.derivative(0.0))
     return EigenTriple(
         lambda_max=lam,
         v_max=v,
         w_max=w,
-        u0_star=1.0 / (sat_deriv0 * lam) if lam != 0 else np.inf,
+        u0_star=1.0 / lam if lam != 0 else np.inf,
         spectral_gap=gap,
     )
 
@@ -198,7 +197,7 @@ def eigenpair_near(spec: NetworkSpec, target: float) -> EigenTriple:
 
 def critical_attention(spec: NetworkSpec) -> float:
     """Attention value at which the neutral state loses stability:
-    ``1 / (S'(0) * lambda_max)``.
+    ``1 / lambda_max``.
 
     Raises DegenerateLeader when lambda_max <= 0 (no opinion-forming
     bifurcation at positive attention) and NonFinite when the value is not

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from modnod import (
-    DiagramOptions,
     EventKind,
     NetworkSpec,
     NotSettled,
@@ -188,11 +187,10 @@ def steering_sweep_bracket(spec, branch, u0_event, kernel):
 
 def test_criterion_4_conditional_steering():
     failures = []
-    opts = DiagramOptions(labeler=drive_steer_label)
 
     # m_bar = 0: both steering events at 1/beta = 10/3, equal
     spec0 = build_drive_steer(1.0, 0.3, 0.0)
-    branches0 = diagram(spec0, (0.05, 4.0), opts)
+    branches0 = diagram(spec0, (0.05, 4.0), labeler=drive_steer_label)
     by_label = {b.label: b for b in branches0}
     events = {}
     for lbl in ("dr", "st"):
@@ -211,7 +209,7 @@ def test_criterion_4_conditional_steering():
 
     # m_bar = 2: drive steering strictly earlier than stay steering
     spec2 = build_drive_steer(1.0, 0.3, 2.0)
-    branches2 = diagram(spec2, (0.05, 11.0), opts)
+    branches2 = diagram(spec2, (0.05, 11.0), labeler=drive_steer_label)
     by_label2 = {b.label: b for b in branches2}
     e_dr = e_st = None
     if "dr" in by_label2 and by_label2["dr"].events:

@@ -138,7 +138,7 @@ def one_point_branch():
     from modnod.continuation import Branch, BranchPoint
 
     point = BranchPoint(u0=0.5, x=np.array([-0.0, 0.0]), leading_jac_eig=-1.0, stable=True,
-                        tangent=np.array([0.0, 0.0, 1.0]))
+                        tangent=np.array([0.0, 0.0, 1.0]), det_sign=1.0)
     return Branch(points=[point], label="00")
 
 
@@ -249,10 +249,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("diagram", {"u0_range": [1.5, 0.2]}, "u0_range"),
         ("diagram", {"u0_range": "05"}, "u0_range"),
         ("diagram", {"u0_range": [0.0, 0.5, 1.5]}, "u0_range"),
-        ("diagram", {"u0_range": [0.0, 1.5], "depth": 0.5}, "depth"),
-        ("diagram", {"u0_range": [0.0, 1.5], "depth": -1}, "depth"),
         ("diagram", {"u0_range": [0.0, 1.5], "projection": "x_a"}, "projection"),
-        ("diagram", {"u0_range": [0.0, 1.5], "depth": "x"}, "depth"),
         ("diagram", {"u0_range": [0.0, 1.5], "step": {"max": "a"}}, "step"),
         ("diagram", {"u0_range": [0.0, 1.5], "step": {"initial": 0}}, "step"),
         ("diagram", {"u0_range": [0.0, 1.5], "step": {"max_points": 0}}, "step"),
@@ -274,6 +271,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     for command, params, where in [
         ("simulate", {"t_ned": 5}, "params"),
         ("diagram", {"u0_range": [0.0, 1.5], "depht": 3}, "params"),
+        ("diagram", {"u0_range": [0.0, 1.5], "depth": 0.5}, "params"),
+        ("diagram", {"u0_range": [0.0, 1.5], "depth": -1}, "params"),
+        ("diagram", {"u0_range": [0.0, 1.5], "depth": "x"}, "params"),
         ("diagram", {"u0_range": [0.0, 1.5], "step": {"maxx": 0.01}}, "params.step"),
     ]:
         cfg = write_config(tmp_path, {"scenario": {"name": "two_node"}, "params": params})
@@ -363,11 +363,11 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_diagram_step_options_override_only_given_keys():
-    from modnod.cli import _diagram_options
+    from modnod.cli import _step_params
     from modnod.continuation import StepParams
 
     cfg = parse_config(json.dumps({
         "scenario": {"name": "two_node"},
         "params": {"u0_range": [0.0, 1.5], "step": {"max": 0.05, "max_points": 300}},
     }))
-    assert _diagram_options(cfg).step == StepParams(max_step=0.05, max_points=300)
+    assert _step_params(cfg.params["step"]) == StepParams(max_step=0.05, max_points=300)

@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 import modnod.continuation as continuation
 from modnod import (
     Classification,
-    DiagramOptions,
     EventKind,
     ModnodError,
     NetworkSpec,
@@ -85,10 +84,11 @@ def test_newton_two_node_matches_bisection_oracle():
     assert abs(x[0] - a_star) < 1e-9
 
 
-def test_newton_budget_exhaustion():
+def test_newton_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(continuation, "EQUILIBRIUM_ITERS", 1)
     spec = build_two_node(1.0, 1)
     with pytest.raises(NewtonDiverged):
-        newton_equilibrium(spec, np.array([5.0, -5.0]), 1.2, max_iter=1)
+        newton_equilibrium(spec, np.array([5.0, -5.0]), 1.2)
 
 
 def test_newton_singular_jacobian():
@@ -287,14 +287,13 @@ def test_corpus_switches_solve_and_leave_the_parent(monkeypatch):
 
     monkeypatch.setattr(continuation, "switch_branch", recording)
     rng = np.random.default_rng(5)
-    options = DiagramOptions(step=StepParams(max_points=400))
     for _ in range(150):
         try:
             spec = spec_from_json(corpus_model(rng))
         except ValidationError:
             continue
         try:
-            diagram(spec, (0.02, 2.0), options)
+            diagram(spec, (0.02, 2.0), StepParams(max_points=400))
         except ModnodError:
             pass
     assert len(switches) > 100
@@ -408,6 +407,41 @@ def test_detect_events_requires_two_points():
     assert detect_events(spec, [seed]) == []
 
 
+def test_branch_point_det_sign_is_required():
+    # detect_events reads det_sign and never re-evaluates det J
+    with pytest.raises(TypeError, match="det_sign"):
+        continuation.BranchPoint(u0=0.2, x=np.zeros(2), leading_jac_eig=-0.8,
+                                 stable=True, tangent=np.eye(3)[-1])
+
+
+def biased_two_node():
+    return NetworkSpec(A=build_two_node(1.0, 1).A, b=np.array([0.1, -0.2]))
+
+
+def test_branch_point_at_tangent_spans_the_kernel_towards_increasing_u0():
+    spec = biased_two_node()
+    x = newton_equilibrium(spec, np.zeros(2), 0.5)
+    assert np.all(x != 0.0)
+    point = branch_point_at(spec, x, 0.5)
+    _, jac, f_u0 = linearize(spec, x, 0.5)
+    np.testing.assert_allclose(np.linalg.norm(point.tangent), 1.0, rtol=1e-14)
+    assert point.tangent[-1] > 0
+    np.testing.assert_allclose(np.column_stack([jac, f_u0]) @ point.tangent, 0.0, atol=1e-14)
+
+
+def test_diagram_primary_seed_is_the_equilibrium_at_the_low_end():
+    # the seed: Newton from x = 0 at the low end of the range, tangent e_u0,
+    # and the same spectrum as branch_point_at gives there
+    spec = biased_two_node()
+    first = diagram(spec, (0.5, 1.5))[0].points[0]
+    ref = branch_point_at(spec, newton_equilibrium(spec, np.zeros(2), 0.5), 0.5)
+    assert first.u0 == 0.5
+    np.testing.assert_array_equal(first.x, ref.x)
+    np.testing.assert_array_equal(first.tangent, np.eye(3)[-1])
+    assert (first.leading_jac_eig, first.stable, first.det_sign) == (
+        ref.leading_jac_eig, ref.stable, ref.det_sign)
+
+
 # -- loop closure ------------------------------------------------------------
 
 def closed_loops(branches, u0_range, max_points):
@@ -427,11 +461,11 @@ def test_drive_steer_loop_closes_on_its_seed_at_every_max_step(max_step):
     # the u0 ~ 1.22 loop joins the two steering events on st; it ends on its
     # seed, so its mirror seed is covered whatever the step
     spec = build_scenario("drive_steer", m_bar=2.0)
-    options = DiagramOptions(step=StepParams(max_step=max_step), labeler=drive_steer_label)
-    branches = diagram(spec, (0.05, 11.0), options)
+    step = StepParams(max_step=max_step)
+    branches = diagram(spec, (0.05, 11.0), step, drive_steer_label)
     assert sorted(b.label for b in branches) == [
         "dr", "drl", "drr", "id", "idl", "idr", "st", "stl", "stl/2", "str"]
-    loops = closed_loops(branches, (0.05, 11.0), options.step.max_points)
+    loops = closed_loops(branches, (0.05, 11.0), step.max_points)
     assert [b.label for b in loops] == ["stl"]
     assert seed_gap(loops[0]) <= continuation.CLOSURE_TOL
 
@@ -445,11 +479,27 @@ def test_small_loop_past_a_pitchfork_ends_on_its_seed():
               [-0.0, 1.610163254264054, -0.46632848149035583],
               [-1.6712396645976324, -0.0, -0.9223075068727697]],
         "M": [[1, 3, 1, 0.7354955885992546], [2, 2, 3, -0.9418749130497466]], "n": 2})
-    branches = diagram(spec, (0.02, 2.0), DiagramOptions(step=StepParams(max_points=400)))
+    branches = diagram(spec, (0.02, 2.0), StepParams(max_points=400))
     assert len(branches) == 2
     loops = closed_loops(branches, (0.02, 2.0), 400)
     assert loops
     assert all(seed_gap(loop) <= continuation.CLOSURE_TOL for loop in loops)
+
+
+def test_switch_depth_traces_no_branch_twice():
+    # corpus seed 4 draw 23 (two uncoupled nodes, shifted S): one level deeper
+    # than SWITCH_DEPTH, the diagram has 12 branches and "-+/2" starts where
+    # "-+" does, and traces it again.  The drive/steer goldens need the depth
+    # from below.
+    rng = np.random.default_rng(4)
+    for _ in range(23):
+        corpus_model(rng)
+    spec = spec_from_json(corpus_model(rng))
+    branches = diagram(spec, (0.02, 2.0), StepParams(max_points=400))
+    assert len(branches) == 10
+    starts = np.array([np.append(b.points[0].x, b.points[0].u0) for b in branches])
+    gaps = np.linalg.norm(starts[:, None] - starts[None], axis=-1)
+    assert gaps[np.triu_indices(len(starts), 1)].min() > continuation.CLOSURE_TOL
 
 
 # -- bordered solve ----------------------------------------------------------
@@ -556,16 +606,6 @@ def test_step_params_take_integral_point_budget():
     budget = StepParams(max_points=300.0).max_points
     assert budget == 300 and type(budget) is int
 
-
-@pytest.mark.parametrize("depth", [-1, 0.5, np.nan, "x"])
-def test_diagram_options_reject_bad_depth(depth):
-    with pytest.raises(ValueError):
-        DiagramOptions(max_depth=depth)
-
-
-def test_diagram_options_take_integral_depth():
-    depth = DiagramOptions(max_depth=0.0).max_depth
-    assert depth == 0 and type(depth) is int
 
 
 # -- sign-flip symmetry ------------------------------------------------------

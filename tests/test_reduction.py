@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+import modnod.reduction as reduction
 from modnod import (
     Classification,
     ComplementDiverged,
@@ -220,10 +221,11 @@ def test_out_of_domain_rejected():
         ls_reduced_g(spec, eig, 0.0, 0.9)
 
 
-def test_complement_solve_budget():
+def test_complement_solve_budget(monkeypatch):
     # order-1 modulation forces a nontrivial complement component; with a
     # single iteration the bordered Newton cannot reach tolerance
+    monkeypatch.setattr(reduction, "COMPLEMENT_ITERS", 1)
     spec = build_two_node(1.0, 1)
     eig = max_entry_normalized(leading_eigenpair(spec))
     with pytest.raises(ComplementDiverged):
-        ls_reduced_g(spec, eig, 0.25, 1.05, max_iter=1)
+        ls_reduced_g(spec, eig, 0.25, 1.05)

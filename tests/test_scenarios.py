@@ -79,7 +79,7 @@ def test_drive_steer_labels():
 
     for x, expected in cases:
         point = BranchPoint(u0=2.0, x=x, leading_jac_eig=-1.0, stable=True,
-                            tangent=np.zeros(5))
+                            tangent=np.zeros(5), det_sign=1.0)
         assert drive_steer_label(point) == expected
 
 

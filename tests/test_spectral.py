@@ -41,6 +41,23 @@ def test_full_spectrum_two_node():
     np.testing.assert_allclose(vals, [-1.0, 1.0], atol=1e-14)
 
 
+def test_full_spectrum_is_complex_for_a_real_spectrum():
+    # numpy's wrapper returns floats for a real spectrum; full_spectrum goes
+    # through _eigvals and returns the same values as a complex array
+    A = build_influencer_ring(0.5).A
+    A = A + A.T
+    vals = full_spectrum(A)
+    assert vals.dtype == complex and np.all(vals.imag == 0)
+    np.testing.assert_array_equal(vals.real, np.linalg.eigvals(A))
+
+
+@pytest.mark.parametrize("A", [np.ones((2, 3)), np.diag([1.0, np.nan])],
+                         ids=["non-square", "non-finite"])
+def test_full_spectrum_rejects_a_bad_matrix(A):
+    with pytest.raises(ValueError):
+        full_spectrum(A)
+
+
 def test_leading_eigenpair_ring():
     spec = build_influencer_ring(0.7)
     eig = leading_eigenpair(spec)
@@ -147,10 +164,10 @@ def test_critical_attention_degenerate_leader():
         critical_attention(NetworkSpec(A=-np.eye(2) + np.diag([0.0, -0.5])))
 
 
-def test_critical_attention_raises_on_non_finite_value(monkeypatch):
-    monkeypatch.setattr(Saturation, "derivative", lambda self, z: np.nan)
+def test_critical_attention_raises_on_non_finite_value():
+    # a subnormal leading eigenvalue: 1 / 1e-310 overflows
     with pytest.raises(NonFinite):
-        critical_attention(build_two_node(1.0, 1))
+        critical_attention(NetworkSpec(A=np.diag([1e-310, -1.0])))
 
 
 def test_critical_attention_ignores_modulation():
@@ -165,6 +182,14 @@ def test_shifted_saturation_same_critical_attention():
                           saturation=spec.saturation.shifted(0.8))
     # S'(0) = 1 for both variants, so u0* agrees
     assert abs(critical_attention(shifted) - critical_attention(spec)) < 1e-12
+
+
+def test_shifted_saturation_critical_attention_is_exact():
+    # S'(0) = 1 by construction; Saturation.derivative(0.0) reads
+    # 1 - 4.4e-16 here, which would move u0* off 1 / lambda
+    A = build_two_node(1.0, 1).A
+    spec = NetworkSpec(A=A, saturation=Saturation.shifted(0.4589931219679968))
+    assert critical_attention(spec) == 1.0
 
 
 def test_eigenpair_near_secondary_eigenvalue():
